@@ -42,8 +42,7 @@
 use lcosc_bench::cli::{parse_args, render_bench_list, Args, Cli, HELP};
 use lcosc_bench::csv::write_csv;
 use lcosc_bench::{
-    ablation, batch_bench, figures, multirate_bench, prove_bench, serve_bench, sparse_bench,
-    spice_smoke,
+    ablation, figures, multirate_bench, prove_bench, serve_bench, sparse_bench, spice_smoke,
 };
 use lcosc_campaign::{CampaignStats, Json};
 use lcosc_core::{ClosedLoopSim, OscillatorConfig};
@@ -396,43 +395,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 l.reach_states,
                 l.reach_transitions,
             );
-        }
-    }
-
-    // Batched campaign solver: FMEA-shaped + yield-shaped deck campaigns,
-    // batched vs per-job vs reference, every lane byte-compared, with the
-    // >= 4x campaign-throughput gate enforced (unless the reference-solver
-    // hatch forced the batch off).
-    if args.batch_bench {
-        let report = batch_bench::run_batch_bench(&tracer)?;
-        write_text(&args.batch_bench_out, &report.to_json().render_pretty(2))?;
-        println!("batch bench -> {}", args.batch_bench_out.display());
-        for c in &report.campaigns {
-            println!(
-                "batch {}: {} jobs in {} unit(s), {:.2}x vs reference ({:.2}x vs per-job fast path), batched {:.1} ms",
-                c.name,
-                c.jobs,
-                c.units,
-                c.speedup_vs_reference(),
-                c.speedup_vs_perjob(),
-                c.batched_wall.as_secs_f64() * 1e3,
-            );
-        }
-        if report.solver_hatch {
-            println!("batch bench: LCOSC_SOLVER hatch active, gate skipped");
-        } else if report.gate_met() {
-            println!(
-                "batch bench: campaign speedup {:.2}x, gate >= {:.0}x met",
-                report.campaign_speedup(),
-                batch_bench::GATE_MIN_SPEEDUP,
-            );
-        } else {
-            return Err(format!(
-                "batch bench: campaign speedup {:.2}x misses the {:.0}x gate",
-                report.campaign_speedup(),
-                batch_bench::GATE_MIN_SPEEDUP,
-            )
-            .into());
         }
     }
 

@@ -35,11 +35,6 @@ OPTIONS:
                          (min-of-3 laps per preset, verdict byte-compare)
     --prove-bench-out PATH
                          prover benchmark report path (default BENCH_PR6.json)
-    --batch-bench        run the batched campaign-solver benchmark
-                         (FMEA + yield deck campaigns, batched vs per-job,
-                         bitwise differential, >=4x throughput gate)
-    --batch-bench-out PATH
-                         batched benchmark report path (default BENCH_PR7.json)
     --sparse-bench       run the sparse MNA solver benchmark
                          (1000-node ladder dense-vs-sparse >=5x gate,
                          crossover table, Auto-policy proof, 1-vs-4-thread
@@ -114,12 +109,6 @@ pub const BENCHES: &[BenchInfo] = &[
         what: "static safety prover laps, verdict byte-compare",
     },
     BenchInfo {
-        name: "batch",
-        flag: "--batch-bench",
-        report: "BENCH_PR7.json",
-        what: "batched campaign solver vs per-job, >=4x throughput gate",
-    },
-    BenchInfo {
         name: "sparse",
         flag: "--sparse-bench",
         report: "BENCH_PR8.json",
@@ -167,10 +156,6 @@ pub struct Args {
     pub prove_bench: bool,
     /// Prover benchmark report path.
     pub prove_bench_out: PathBuf,
-    /// Run the batched campaign-solver benchmark.
-    pub batch_bench: bool,
-    /// Batched benchmark report path.
-    pub batch_bench_out: PathBuf,
     /// Run the sparse MNA solver benchmark.
     pub sparse_bench: bool,
     /// Sparse benchmark report path.
@@ -208,8 +193,6 @@ impl Default for Args {
             serve_bench_out: PathBuf::from("BENCH_PR5.json"),
             prove_bench: false,
             prove_bench_out: PathBuf::from("BENCH_PR6.json"),
-            batch_bench: false,
-            batch_bench_out: PathBuf::from("BENCH_PR7.json"),
             sparse_bench: false,
             sparse_bench_out: PathBuf::from("BENCH_PR8.json"),
             multirate_bench: false,
@@ -290,7 +273,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
             "--unchecked" => parsed.unchecked = true,
             "--serve-bench" => parsed.serve_bench = true,
             "--prove-bench" => parsed.prove_bench = true,
-            "--batch-bench" => parsed.batch_bench = true,
             "--sparse-bench" => parsed.sparse_bench = true,
             "--multirate-bench" => parsed.multirate_bench = true,
             "--threads" => {
@@ -321,9 +303,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
             }
             "--prove-bench-out" => {
                 parsed.prove_bench_out = PathBuf::from(next_value(&mut args, "--prove-bench-out")?);
-            }
-            "--batch-bench-out" => {
-                parsed.batch_bench_out = PathBuf::from(next_value(&mut args, "--batch-bench-out")?);
             }
             "--sparse-bench-out" => {
                 parsed.sparse_bench_out =
@@ -430,9 +409,6 @@ mod tests {
             "--prove-bench",
             "--prove-bench-out",
             "p.json",
-            "--batch-bench",
-            "--batch-bench-out",
-            "bb.json",
             "--sparse-bench",
             "--sparse-bench-out",
             "sp.json",
@@ -458,7 +434,6 @@ mod tests {
         assert_eq!(args.threads, 4);
         assert!(args.campaigns_only && args.unchecked && args.serve_bench);
         assert!(args.prove_bench);
-        assert!(args.batch_bench);
         assert!(args.sparse_bench);
         assert!(args.multirate_bench);
         assert_eq!(args.results_out, PathBuf::from("r.json"));
@@ -467,7 +442,6 @@ mod tests {
         assert_eq!(args.bench_out, Some(PathBuf::from("b.json")));
         assert_eq!(args.serve_bench_out, PathBuf::from("s.json"));
         assert_eq!(args.prove_bench_out, PathBuf::from("p.json"));
-        assert_eq!(args.batch_bench_out, PathBuf::from("bb.json"));
         assert_eq!(args.sparse_bench_out, PathBuf::from("sp.json"));
         assert_eq!(args.multirate_bench_out, PathBuf::from("mr.json"));
         assert!(args.fuzz_smoke);
@@ -500,8 +474,6 @@ mod tests {
             "--serve-bench-out",
             "--prove-bench",
             "--prove-bench-out",
-            "--batch-bench",
-            "--batch-bench-out",
             "--sparse-bench",
             "--sparse-bench-out",
             "--multirate-bench",
@@ -584,7 +556,6 @@ mod tests {
         for (report, path) in [
             ("BENCH_PR5.json", &d.serve_bench_out),
             ("BENCH_PR6.json", &d.prove_bench_out),
-            ("BENCH_PR7.json", &d.batch_bench_out),
             ("BENCH_PR8.json", &d.sparse_bench_out),
             ("BENCH_PR9.json", &d.multirate_bench_out),
         ] {

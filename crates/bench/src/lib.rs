@@ -7,7 +7,6 @@
 //! computation (the benchmark).
 
 pub mod ablation;
-pub mod batch_bench;
 pub mod cli;
 pub mod csv;
 pub mod figures;

@@ -351,11 +351,8 @@ fn run_multirate_bench_with(
         factorizations: 0,
         factor_reuses: 0,
         post_warmup_allocations: 0,
-        batched_lanes: 0,
         symbolic_analyses: 0,
         symbolic_reuses: 0,
-        steps_accepted: 0,
-        steps_rejected: 0,
         mode_switches: mode_stats.mode_switches,
         envelope_permille: mode_stats.envelope_permille(),
     });

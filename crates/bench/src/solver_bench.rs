@@ -309,11 +309,8 @@ pub fn run_solver_bench(tracer: &Trace) -> Result<SolverBenchReport, String> {
             factorizations: s.factorizations,
             factor_reuses: s.factor_reuses,
             post_warmup_allocations: s.post_warmup_allocations,
-            batched_lanes: s.batched_lanes,
             symbolic_analyses: s.symbolic_analyses,
             symbolic_reuses: s.symbolic_reuses,
-            steps_accepted: s.steps_accepted,
-            steps_rejected: s.steps_rejected,
             mode_switches: s.mode_switches,
             envelope_permille: s.envelope_permille,
         });

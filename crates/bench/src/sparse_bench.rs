@@ -24,7 +24,7 @@
 //! hard error: the bench refuses to report a speedup for a wrong answer.
 
 use crate::solver_bench::bits_equal;
-use lcosc_campaign::{CampaignBatch, Json};
+use lcosc_campaign::{Campaign, Json};
 use lcosc_circuit::workloads::{
     coupled_tank_network, coupled_tank_network_scaled, pad_driver_array, rc_ladder,
 };
@@ -259,12 +259,9 @@ fn assert_close(a: &TransientResult, b: &TransientResult, label: &str) -> Result
 /// per-job under [`SolverPath::Auto`] (which routes them sparse).
 fn run_fleet(decks: &[Netlist], threads: usize) -> Result<Vec<TransientResult>, String> {
     let opts = TransientOptions::new(20e-9, 4e-6);
-    let outcome = CampaignBatch::new("sensor_fleet", decks.to_vec())
+    let outcome = Campaign::new("sensor_fleet", decks.to_vec())
         .threads(threads)
-        .solo(true)
-        .try_run(Netlist::structural_digest, |_ctxs, unit| {
-            unit.iter().map(|d| run_transient(d, &opts)).collect()
-        })
+        .try_run(|_ctx, d| run_transient(d, &opts))
         .map_err(|e| format!("fleet campaign: {e}"))?;
     Ok(outcome.results)
 }
@@ -350,11 +347,8 @@ fn run_sparse_bench_with(
         factorizations: ladder_stats.factorizations,
         factor_reuses: ladder_stats.factor_reuses,
         post_warmup_allocations: ladder_stats.post_warmup_allocations,
-        batched_lanes: ladder_stats.batched_lanes,
         symbolic_analyses: ladder_stats.symbolic_analyses,
         symbolic_reuses: ladder_stats.symbolic_reuses,
-        steps_accepted: ladder_stats.steps_accepted,
-        steps_rejected: ladder_stats.steps_rejected,
         mode_switches: ladder_stats.mode_switches,
         envelope_permille: ladder_stats.envelope_permille,
     });

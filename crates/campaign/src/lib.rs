@@ -45,12 +45,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 mod engine;
 pub mod json;
 pub mod seed;
 
-pub use batch::{BatchPlan, BatchStats, BatchUnit, CampaignBatch};
 pub use engine::{Campaign, CampaignOutcome, CampaignStats, JobCtx};
 pub use json::{Json, JsonParseError};
 pub use seed::{digest_bytes, job_seed};

@@ -1,7 +1,6 @@
-//! Analyses: DC operating point, DC sweep, transient and batched transient.
+//! Analyses: DC operating point, DC sweep, AC sweep and transient.
 
 pub mod ac;
-pub mod batch;
 pub mod dc;
 pub mod sweep;
 pub mod transient;

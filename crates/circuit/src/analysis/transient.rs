@@ -37,7 +37,6 @@ use crate::stamp::{
 };
 use crate::{CircuitError, Result};
 use lcosc_num::sparse::{SparseLu, SparseMatrix, SparseSymbolic};
-use lcosc_num::{StepController, StepDecision};
 
 pub use crate::stamp::Integrator;
 
@@ -71,38 +70,10 @@ pub enum SolverPath {
     Reference,
 }
 
-/// Time-stepping policy of a transient run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Stepping {
-    /// Fixed `dt` steps — the bit-stable house default. Every recorded
-    /// sample sits exactly on the `k·dt` grid and the batched campaign
-    /// path is bit-identical to this.
-    #[default]
-    Fixed,
-    /// Local-truncation-error–controlled adaptive stepping: each internal
-    /// step is taken with both the configured integrator (trapezoidal by
-    /// default) and backward Euler; the difference between the pair is the
-    /// LTE estimate judged by [`lcosc_num::StepController`] (the same
-    /// embedded-pair controller behind `rkf45_adaptive`). Accepted states
-    /// are interpolated onto the uniform `opts.dt` output grid, so
-    /// [`TransientResult`] keeps its fixed-path shape. A failing error
-    /// test at `h_min` is a typed [`CircuitError::StepStall`], never a
-    /// silent clamp.
-    AdaptiveLte {
-        /// Per-step LTE tolerance (infinity norm over node voltages).
-        tol: f64,
-        /// Minimum internal step (must be positive).
-        h_min: f64,
-        /// Maximum internal step.
-        h_max: f64,
-    },
-}
-
 /// Options controlling a transient run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
-    /// Fixed time step in seconds (the output-grid spacing under
-    /// [`Stepping::AdaptiveLte`]).
+    /// Fixed time step in seconds.
     pub dt: f64,
     /// End time in seconds (simulation runs from 0 to `t_end`).
     pub t_end: f64,
@@ -119,8 +90,6 @@ pub struct TransientOptions {
     pub v_tol: f64,
     /// Solver implementation to use.
     pub solver: SolverPath,
-    /// Time-stepping policy (fixed grid by default).
-    pub stepping: Stepping,
 }
 
 impl TransientOptions {
@@ -142,19 +111,7 @@ impl TransientOptions {
             max_iter: 50,
             v_tol: 1e-9,
             solver: SolverPath::Auto,
-            stepping: Stepping::Fixed,
         }
-    }
-
-    /// Switches the run to LTE-adaptive stepping with tolerance `tol`,
-    /// allowing internal steps between `dt / 64` and `64 · dt`.
-    pub fn with_adaptive_lte(mut self, tol: f64) -> Self {
-        self.stepping = Stepping::AdaptiveLte {
-            tol,
-            h_min: self.dt / 64.0,
-            h_max: self.dt * 64.0,
-        };
-        self
     }
 
     /// Checks the options for values that would panic or loop forever
@@ -192,28 +149,6 @@ impl TransientOptions {
             return Err(CircuitError::InvalidInput(
                 "transient v_tol must be finite and positive",
             ));
-        }
-        if let Stepping::AdaptiveLte { tol, h_min, h_max } = self.stepping {
-            if self.integrator == Integrator::BackwardEuler {
-                return Err(CircuitError::InvalidInput(
-                    "adaptive lte stepping needs the trapezoidal integrator (backward Euler is the embedded lower-order member)",
-                ));
-            }
-            if !tol.is_finite() || tol <= 0.0 {
-                return Err(CircuitError::InvalidInput(
-                    "adaptive lte tol must be finite and positive",
-                ));
-            }
-            if !h_min.is_finite() || h_min <= 0.0 {
-                return Err(CircuitError::InvalidInput(
-                    "adaptive h_min must be finite and positive",
-                ));
-            }
-            if !h_max.is_finite() || h_max < h_min {
-                return Err(CircuitError::InvalidInput(
-                    "adaptive h_max must be finite and >= h_min",
-                ));
-            }
         }
         Ok(())
     }
@@ -253,17 +188,6 @@ pub struct SolverStats {
     /// Sparse symbolic analyses reused from the process-wide cache (0 or 1:
     /// a cache hit on the netlist's structural digest).
     pub symbolic_reuses: u64,
-    /// Number of lanes in the batched solve that produced this result, or
-    /// zero when the deck was solved on its own (reference or per-job fast
-    /// path). Lane membership does not affect any numeric output — batched
-    /// lanes are bit-identical to per-job solves — so this is purely a
-    /// work-accounting counter.
-    pub batched_lanes: u64,
-    /// Internal steps the adaptive LTE controller accepted (zero on the
-    /// fixed-grid path, whose steps are unconditional).
-    pub steps_accepted: u64,
-    /// Internal steps the adaptive LTE controller rejected and retried.
-    pub steps_rejected: u64,
     /// Envelope↔cycle fidelity hand-offs performed by a multi-rate run
     /// (zero for plain circuit-level solves; filled in by the closed-loop
     /// multi-rate simulation that owns the hand-off state machine).
@@ -431,31 +355,9 @@ impl TransientResult {
             .collect()
     }
 
-    /// Creates an empty result with pre-sized storage for the batch path.
-    pub(crate) fn with_capacity(
-        nl: &Netlist,
-        samples: usize,
-        stats: SolverStats,
-    ) -> TransientResult {
-        let nn = nl.node_count() - 1;
-        TransientResult {
-            times: Vec::with_capacity(samples),
-            node_count: nl.node_count(),
-            element_count: nl.elements().len(),
-            voltages: Vec::with_capacity(samples * nn),
-            currents: Vec::with_capacity(samples * nl.elements().len()),
-            stats,
-        }
-    }
-
-    /// Mutable access to the work counters (batch path bookkeeping).
-    pub(crate) fn stats_mut(&mut self) -> &mut SolverStats {
-        &mut self.stats
-    }
-
     /// Appends one sample row. `branch` is the netlist's branch-index table,
     /// hoisted once per run so recording stays linear in element count.
-    pub(crate) fn push_sample(
+    fn push_sample(
         &mut self,
         nl: &Netlist,
         branch: &[Option<usize>],
@@ -469,25 +371,11 @@ impl TransientResult {
             self.currents.push(element_current(nl, branch, k, x, mode));
         }
     }
-
-    /// Appends one sample row from pre-computed per-node voltages and
-    /// per-element currents (the batch path gathers these lanes-inner and
-    /// hands over this lane's column).
-    pub(crate) fn push_sample_iters(
-        &mut self,
-        t: f64,
-        volts: impl Iterator<Item = f64>,
-        currs: impl Iterator<Item = f64>,
-    ) {
-        self.times.push(t);
-        self.voltages.extend(volts);
-        self.currents.extend(currs);
-    }
 }
 
 /// Number of samples `run_transient` records: `t = 0`, every `stride`-th
 /// step, and the final step.
-pub(crate) fn sample_count(steps: usize, stride: usize) -> usize {
+fn sample_count(steps: usize, stride: usize) -> usize {
     1 + steps / stride + usize::from(!steps.is_multiple_of(stride) && steps > 0)
 }
 
@@ -495,12 +383,7 @@ pub(crate) fn sample_count(steps: usize, stride: usize) -> usize {
 /// `ceil(t_end / dt)`, so any fractional remainder — including one produced
 /// purely by floating-point rounding, e.g. `t_end / dt` landing a ulp above
 /// an integer — adds a final step past `t_end`.
-///
-/// This is the **single** definition of the step count: the solo transient
-/// path and the batched campaign path both call it, so an FP boundary case
-/// cannot give them different step counts (which would silently break their
-/// bit-equivalence).
-pub(crate) fn step_count(t_end: f64, dt: f64) -> usize {
+fn step_count(t_end: f64, dt: f64) -> usize {
     (t_end / dt).ceil() as usize
 }
 
@@ -514,9 +397,6 @@ pub(crate) fn step_count(t_end: f64, dt: f64) -> usize {
 /// [`TransientOptions::validate`].
 pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientResult> {
     opts.validate()?;
-    if let Stepping::AdaptiveLte { tol, h_min, h_max } = opts.stepping {
-        return run_transient_adaptive(nl, opts, tol, h_min, h_max);
-    }
     let n = nl.unknown_count();
     let path = resolve_solver_path(opts.solver, nl);
     let reference = path == SolverPath::Reference;
@@ -729,311 +609,6 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
     Ok(result)
 }
 
-/// The LTE-adaptive twin of the fixed-grid loop.
-///
-/// Each internal step is attempted with the configured (trapezoidal)
-/// integrator and its backward-Euler shadow from the same state and
-/// history; the infinity-norm difference over node voltages is the
-/// local-truncation-error estimate fed to the shared
-/// [`StepController`] (the TR/BE embedded pair, controller order 1).
-/// Accepted states are linearly interpolated onto the uniform `opts.dt`
-/// output grid, so the result has exactly the fixed path's sample times
-/// and storage shape. Solves run on the dense workspace engine: linear
-/// decks cache one factorization per (step size, integrator) pair —
-/// a controller holding its step costs substitutions only — and
-/// nonlinear decks run workspace Newton per trial.
-fn run_transient_adaptive(
-    nl: &Netlist,
-    opts: &TransientOptions,
-    tol: f64,
-    h_min: f64,
-    h_max: f64,
-) -> Result<TransientResult> {
-    let n = nl.unknown_count();
-    let nn = nl.node_count() - 1;
-    let linear = n > 0 && nl.is_linear();
-    let mut alloc = AllocCounter::new();
-
-    let mut history = History::from_initial_conditions(nl);
-    alloc.note(4);
-    let mut x = if opts.use_initial_conditions {
-        vec![0.0; n]
-    } else {
-        let dc = solve_dc_with(nl, &DcOptions::default(), None)?;
-        let x = dc.raw().to_vec();
-        history.absorb(nl, &x, AbsorbRule::Dc);
-        x
-    };
-    alloc.note(1);
-
-    let steps = step_count(opts.t_end, opts.dt);
-    let stride = opts.record_stride;
-    let samples = sample_count(steps, stride);
-    let mut result = TransientResult {
-        times: Vec::with_capacity(samples),
-        node_count: nl.node_count(),
-        element_count: nl.elements().len(),
-        voltages: Vec::with_capacity(samples * nn),
-        currents: Vec::with_capacity(samples * nl.elements().len()),
-        stats: SolverStats {
-            used_linear_fast_path: linear,
-            ..SolverStats::default()
-        },
-    };
-    alloc.note(3);
-    let branch = nl.branch_indices();
-    alloc.note(1);
-    {
-        let mode0 = Mode::Dc {
-            gmin: 1e-12,
-            source_scale: 1.0,
-        };
-        result.push_sample(nl, &branch, 0.0, &x, &mode0);
-    }
-
-    let controller = StepController::new(tol, h_min, h_max, 1)
-        .map_err(|_| CircuitError::InvalidInput("adaptive controller rejected its bounds"))?;
-    // Two persistent workspaces: the trapezoidal member and its
-    // backward-Euler shadow keep separate cached factorizations, so a
-    // controller holding its step size refactors nothing.
-    let mut ws_hi = NewtonWorkspace::new(n);
-    let mut ws_lo = NewtonWorkspace::new(n);
-    alloc.note(8);
-    let mut x_hi = vec![0.0; n];
-    let mut x_lo = vec![0.0; n];
-    let mut x_rec = vec![0.0; n];
-    alloc.note(3);
-    let mut key_hi: Option<u64> = None;
-    let mut key_lo: Option<u64> = None;
-
-    // Integrate to the fixed path's grid end (`steps · dt`, which step_count
-    // rounds past t_end), so every output grid point is covered.
-    let t_final = steps as f64 * opts.dt;
-    let mut t = 0.0f64;
-    let mut h = controller.clamp(opts.dt);
-    let mut next_grid = 1usize;
-
-    // The stored reactive history at t = 0 is not necessarily consistent
-    // with the post-step derivative (a source discontinuity leaves the
-    // capacitor currents stale), which turns the TR/BE pair difference
-    // into an O(h) artifact no step size can push below tolerance. Take
-    // one backward-Euler start-up step at the minimum size to establish
-    // a consistent history before the error-controlled pair loop begins.
-    if t < t_final {
-        let clamped = controller.h_min() >= t_final - t;
-        let h_try = if clamped {
-            t_final - t
-        } else {
-            controller.h_min()
-        };
-        let t_new = if clamped { t_final } else { t + h_try };
-        x_lo.copy_from_slice(&x);
-        adaptive_trial_step(
-            nl,
-            &mut x_lo,
-            t_new,
-            h_try,
-            Integrator::BackwardEuler,
-            &history,
-            opts,
-            linear,
-            &mut ws_lo,
-            &mut key_lo,
-            &mut result.stats,
-        )?;
-        result.stats.steps += 1;
-        result.stats.steps_accepted += 1;
-        let mode = Mode::Transient {
-            t: t_new,
-            dt: h_try,
-            integrator: Integrator::BackwardEuler,
-            history: &history,
-        };
-        while next_grid <= steps {
-            let g = next_grid as f64 * opts.dt;
-            if g > t_new {
-                break;
-            }
-            if next_grid.is_multiple_of(stride) || next_grid == steps {
-                let w = ((g - t) / h_try).clamp(0.0, 1.0);
-                for i in 0..n {
-                    x_rec[i] = x[i] + w * (x_lo[i] - x[i]);
-                }
-                result.push_sample(nl, &branch, g, &x_rec, &mode);
-            }
-            next_grid += 1;
-        }
-        x.copy_from_slice(&x_lo);
-        history.absorb(
-            nl,
-            &x,
-            AbsorbRule::Transient {
-                dt: h_try,
-                integrator: Integrator::BackwardEuler,
-            },
-        );
-        t = t_new;
-        alloc.finish_warmup();
-    }
-
-    while t < t_final {
-        // Land the final step exactly on the grid end.
-        let clamped = h >= t_final - t;
-        let h_try = if clamped { t_final - t } else { h };
-        let t_new = if clamped { t_final } else { t + h };
-
-        x_hi.copy_from_slice(&x);
-        adaptive_trial_step(
-            nl,
-            &mut x_hi,
-            t_new,
-            h_try,
-            opts.integrator,
-            &history,
-            opts,
-            linear,
-            &mut ws_hi,
-            &mut key_hi,
-            &mut result.stats,
-        )?;
-        x_lo.copy_from_slice(&x);
-        adaptive_trial_step(
-            nl,
-            &mut x_lo,
-            t_new,
-            h_try,
-            Integrator::BackwardEuler,
-            &history,
-            opts,
-            linear,
-            &mut ws_lo,
-            &mut key_lo,
-            &mut result.stats,
-        )?;
-
-        let mut err = 0.0f64;
-        for i in 0..nn {
-            err = err.max((x_hi[i] - x_lo[i]).abs());
-        }
-
-        match controller.decide(h_try, err) {
-            StepDecision::Accept { h_next } => {
-                result.stats.steps += 1;
-                result.stats.steps_accepted += 1;
-                // Record every uniform grid point this step crossed,
-                // linearly interpolated between the step endpoints; the
-                // recording mode mirrors the fixed path (pre-step history).
-                let mode = Mode::Transient {
-                    t: t_new,
-                    dt: h_try,
-                    integrator: opts.integrator,
-                    history: &history,
-                };
-                while next_grid <= steps {
-                    let g = next_grid as f64 * opts.dt;
-                    if g > t_new {
-                        break;
-                    }
-                    if next_grid.is_multiple_of(stride) || next_grid == steps {
-                        let w = ((g - t) / h_try).clamp(0.0, 1.0);
-                        for i in 0..n {
-                            x_rec[i] = x[i] + w * (x_hi[i] - x[i]);
-                        }
-                        result.push_sample(nl, &branch, g, &x_rec, &mode);
-                    }
-                    next_grid += 1;
-                }
-                x.copy_from_slice(&x_hi);
-                history.absorb(
-                    nl,
-                    &x,
-                    AbsorbRule::Transient {
-                        dt: h_try,
-                        integrator: opts.integrator,
-                    },
-                );
-                t = t_new;
-                h = h_next;
-            }
-            StepDecision::Reject { h_next } => {
-                result.stats.steps_rejected += 1;
-                h = h_next;
-            }
-            StepDecision::Stall => {
-                return Err(CircuitError::StepStall {
-                    at: t,
-                    h_min: controller.h_min(),
-                });
-            }
-        }
-        alloc.finish_warmup();
-    }
-
-    debug_assert_eq!(result.times.len(), samples, "sample_count mismatch");
-    result.stats.allocations = alloc.total;
-    result.stats.post_warmup_allocations = alloc.post_warmup;
-    Ok(result)
-}
-
-/// One trial step of the adaptive pair: advances `x` by `h` to time `t`
-/// with the given integrator against the shared pre-step history. Linear
-/// decks reuse the workspace's factorization while `(h, integrator)` is
-/// unchanged (`factored_h` carries the step-size bits that workspace last
-/// factored for); nonlinear decks run workspace Newton.
-#[allow(clippy::too_many_arguments)]
-fn adaptive_trial_step(
-    nl: &Netlist,
-    x: &mut [f64],
-    t: f64,
-    h: f64,
-    integrator: Integrator,
-    history: &History,
-    opts: &TransientOptions,
-    linear: bool,
-    ws: &mut NewtonWorkspace,
-    factored_h: &mut Option<u64>,
-    stats: &mut SolverStats,
-) -> Result<()> {
-    let mode = Mode::Transient {
-        t,
-        dt: h,
-        integrator,
-        history,
-    };
-    if linear {
-        if *factored_h != Some(h.to_bits()) {
-            stamp_linear_matrix(nl, &mode, &mut ws.a);
-            if ws.lu.factor_into(&ws.a).is_err() {
-                return Err(CircuitError::Singular { at: t });
-            }
-            *factored_h = Some(h.to_bits());
-            stats.factorizations += 1;
-        } else {
-            stats.factor_reuses += 1;
-        }
-        stamp_linear_rhs(nl, &mode, &mut ws.b);
-        if ws.lu.solve_into(&ws.b, &mut ws.xn).is_err() {
-            return Err(CircuitError::Singular { at: t });
-        }
-        stats.newton_iterations += apply_linear_update(x, &ws.xn, nl.node_count() - 1, opts, t)?;
-    } else {
-        let iters = newton_solve_in(
-            nl,
-            x,
-            &mode,
-            opts.max_iter,
-            opts.v_tol,
-            2.0,
-            "transient",
-            t,
-            ws,
-        )?;
-        stats.newton_iterations += iters;
-        stats.factorizations += iters;
-    }
-    Ok(())
-}
-
 /// The solver path forced by the `LCOSC_SOLVER` environment variable, if
 /// any. Recognized values: `reference`, `dense`, `sparse`. Anything else —
 /// including the historical typo-guard cases — is ignored, leaving the
@@ -1063,7 +638,7 @@ pub(crate) fn reference_path_forced() -> bool {
 /// decks only. Nonlinear decks stay dense under `Auto`: an off-state device
 /// can zero a conductance that the structure-only sparse pivot order relies
 /// on, where dense partial pivoting recovers.
-pub(crate) fn resolve_solver_path(configured: SolverPath, nl: &Netlist) -> SolverPath {
+fn resolve_solver_path(configured: SolverPath, nl: &Netlist) -> SolverPath {
     let requested = solver_path_forced().unwrap_or(configured);
     match requested {
         SolverPath::Auto => {
@@ -1195,7 +770,7 @@ fn newton_solve_sparse_in(
 /// Repeating exactly that update against the single cached solution
 /// therefore reproduces the reference iterates — including their final
 /// rounding — bit for bit.
-pub(crate) fn apply_linear_update(
+fn apply_linear_update(
     x: &mut [f64],
     xn: &[f64],
     nn: usize,
@@ -1525,10 +1100,9 @@ mod tests {
     }
 
     #[test]
-    fn step_count_is_the_shared_solo_and_batch_definition() {
-        // The solo path records `step_count` steps; pin the observable
-        // count through a real run so a future divergence in either caller
-        // is caught here.
+    fn run_transient_takes_step_count_steps() {
+        // Pin the observable step count through a real run, so the loop
+        // cannot drift from the single `step_count` definition.
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.current_source(a, Netlist::GROUND, Waveform::Dc(1e-3));
@@ -1574,183 +1148,6 @@ mod tests {
             resolve_solver_path(SolverPath::Dense, &large),
             SolverPath::Dense
         );
-    }
-
-    #[test]
-    fn adaptive_matches_fixed_grid_on_rc_charge() {
-        let build = || {
-            let mut nl = Netlist::new();
-            let vin = nl.node("vin");
-            let out = nl.node("out");
-            nl.voltage_source(vin, Netlist::GROUND, Waveform::Dc(1.0));
-            nl.resistor(vin, out, 1e3);
-            nl.capacitor(out, Netlist::GROUND, 1e-6); // tau = 1 ms
-            (nl, out)
-        };
-        let (nl, out) = build();
-        let fixed_opts = TransientOptions::new(1e-7, 1e-3);
-        let fixed = run_transient(&nl, &fixed_opts).unwrap();
-        let adaptive_opts = fixed_opts.with_adaptive_lte(1e-6);
-        let adaptive = run_transient(&nl, &adaptive_opts).unwrap();
-        // Identical output grid, bitwise.
-        assert_eq!(fixed.times(), adaptive.times());
-        assert_eq!(adaptive.len(), fixed.len());
-        // The adaptive run tracks the analytic charge curve within the
-        // accumulated LTE band, and stays inside the fixed path's
-        // start-up-artifact envelope (the fixed trapezoidal run carries a
-        // decaying O(dt) error from its inconsistent t = 0 history).
-        let tau = 1e-3;
-        for ((&t, f), a) in adaptive
-            .times()
-            .iter()
-            .zip(fixed.voltage_trace(out).iter())
-            .zip(adaptive.voltage_trace(out).iter())
-        {
-            let exact = 1.0 - (-t / tau).exp();
-            assert!((a - exact).abs() < 5e-4, "adaptive {a} vs exact {exact}");
-            assert!((f - a).abs() < 1e-3, "fixed {f} vs adaptive {a}");
-        }
-        // The controller must have grown the step well past dt on this
-        // smooth trajectory: far fewer internal steps than grid points.
-        let s = adaptive.stats();
-        assert!(s.steps_accepted > 0);
-        assert_eq!(s.steps, s.steps_accepted);
-        assert!(
-            s.steps_accepted < fixed.stats().steps / 4,
-            "adaptive took {} steps vs fixed {}",
-            s.steps_accepted,
-            fixed.stats().steps
-        );
-        // Fixed-path runs leave the adaptive counters at zero.
-        assert_eq!(fixed.stats().steps_accepted, 0);
-        assert_eq!(fixed.stats().steps_rejected, 0);
-    }
-
-    #[test]
-    fn adaptive_holds_step_without_refactoring() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.voltage_source(a, Netlist::GROUND, Waveform::Dc(1.0));
-        nl.resistor(a, Netlist::GROUND, 1e3);
-        // A purely resistive deck has zero LTE: the controller pins the
-        // step at h_max immediately, and each member workspace factors once.
-        let mut opts = TransientOptions::new(1e-6, 1e-4);
-        opts.stepping = Stepping::AdaptiveLte {
-            tol: 1e-9,
-            h_min: 1e-6,
-            h_max: 4e-6,
-        };
-        let res = run_transient(&nl, &opts).unwrap();
-        let s = res.stats();
-        assert!(s.used_linear_fast_path);
-        // One factorization per (step size, integrator member) seen; the
-        // growth phase 1µs→4µs passes through at most a few sizes.
-        assert!(
-            s.factorizations <= 8,
-            "expected cached factors, saw {} factorizations",
-            s.factorizations
-        );
-        assert!(s.factor_reuses > s.factorizations);
-    }
-
-    #[test]
-    fn adaptive_nonlinear_deck_agrees_with_fixed() {
-        let build = || {
-            let mut nl = Netlist::new();
-            let vin = nl.node("vin");
-            let out = nl.node("out");
-            nl.voltage_source(vin, Netlist::GROUND, Waveform::Dc(1.0));
-            nl.resistor(vin, out, 1e3);
-            nl.diode(
-                out,
-                Netlist::GROUND,
-                lcosc_device::diode::DiodeModel::default(),
-            );
-            nl.capacitor(out, Netlist::GROUND, 1e-9);
-            (nl, out)
-        };
-        let (nl, out) = build();
-        // Reference: a 10× finer fixed grid thinned back onto the adaptive
-        // run's sample times (the coarse fixed grid's own start-up
-        // trapezoidal artifact would dominate the comparison band).
-        let mut fine_opts = TransientOptions::new(1e-9, 1e-6);
-        fine_opts.record_stride = 10;
-        let fixed = run_transient(&nl, &fine_opts).unwrap();
-        let adaptive = run_transient(
-            &nl,
-            &TransientOptions::new(1e-8, 1e-6).with_adaptive_lte(1e-7),
-        )
-        .unwrap();
-        assert_eq!(fixed.len(), adaptive.len());
-        for (f, a) in fixed
-            .voltage_trace(out)
-            .iter()
-            .zip(adaptive.voltage_trace(out).iter())
-        {
-            assert!((f - a).abs() < 1e-3, "fixed {f} vs adaptive {a}");
-        }
-        assert!(adaptive.stats().steps_accepted > 0);
-    }
-
-    #[test]
-    fn adaptive_stall_is_a_typed_error() {
-        let mut nl = Netlist::new();
-        let vin = nl.node("vin");
-        let out = nl.node("out");
-        nl.voltage_source(vin, Netlist::GROUND, Waveform::Dc(1.0));
-        nl.resistor(vin, out, 1e3);
-        nl.capacitor(out, Netlist::GROUND, 1e-6);
-        // An unreachable tolerance with no room to shrink: the controller
-        // must stall with the typed error, not clamp-and-accept.
-        let mut opts = TransientOptions::new(1e-6, 1e-3);
-        opts.stepping = Stepping::AdaptiveLte {
-            tol: 1e-300,
-            h_min: 1e-6,
-            h_max: 1e-6,
-        };
-        match run_transient(&nl, &opts) {
-            Err(CircuitError::StepStall { at, h_min }) => {
-                // The backward-Euler start-up step is always accepted, so
-                // the stall lands after exactly one h_min-sized step.
-                assert_eq!(at, 1e-6);
-                assert_eq!(h_min, 1e-6);
-            }
-            other => panic!("expected StepStall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn adaptive_validation_rejects_degenerate_controllers() {
-        let base = TransientOptions::new(1e-6, 1e-3);
-        let with = |stepping| TransientOptions { stepping, ..base };
-        for bad in [
-            with(Stepping::AdaptiveLte {
-                tol: 0.0,
-                h_min: 1e-9,
-                h_max: 1e-6,
-            }),
-            with(Stepping::AdaptiveLte {
-                tol: 1e-6,
-                h_min: 0.0,
-                h_max: 1e-6,
-            }),
-            with(Stepping::AdaptiveLte {
-                tol: 1e-6,
-                h_min: 1e-6,
-                h_max: 1e-9,
-            }),
-            with(Stepping::AdaptiveLte {
-                tol: f64::NAN,
-                h_min: 1e-9,
-                h_max: 1e-6,
-            }),
-            TransientOptions {
-                integrator: Integrator::BackwardEuler,
-                ..base.with_adaptive_lte(1e-6)
-            },
-        ] {
-            assert!(matches!(bad.validate(), Err(CircuitError::InvalidInput(_))));
-        }
     }
 
     #[test]

@@ -43,12 +43,11 @@ pub mod stamp;
 pub mod workloads;
 
 pub use analysis::ac::{ac_sweep, logspace, AcPoint};
-pub use analysis::batch::run_transient_batch;
 pub use analysis::dc::{solve_dc, solve_dc_with, DcOptions, DcSolution};
 pub use analysis::sweep::{dc_sweep, SweepPoint};
 pub use analysis::transient::{
-    run_transient, Integrator, SolverPath, SolverStats, Stepping, TransientOptions,
-    TransientResult, SPARSE_MIN_UNKNOWNS,
+    run_transient, Integrator, SolverPath, SolverStats, TransientOptions, TransientResult,
+    SPARSE_MIN_UNKNOWNS,
 };
 pub use deck::{netlist_from_json, netlist_to_json, DeckError};
 pub use netlist::{
@@ -71,14 +70,6 @@ pub enum CircuitError {
         /// Detail such as the time point.
         at: f64,
     },
-    /// The adaptive step controller could not satisfy its truncation-error
-    /// tolerance even at the minimum permitted step size.
-    StepStall {
-        /// Time point at which the controller stalled.
-        at: f64,
-        /// The minimum step that still failed the error test.
-        h_min: f64,
-    },
     /// The netlist or analysis options were invalid.
     InvalidInput(&'static str),
 }
@@ -90,10 +81,6 @@ impl std::fmt::Display for CircuitError {
                 write!(f, "{analysis} analysis failed to converge at {at:.6e}")
             }
             CircuitError::Singular { at } => write!(f, "singular mna matrix at {at:.6e}"),
-            CircuitError::StepStall { at, h_min } => write!(
-                f,
-                "adaptive step stalled at {at:.6e} (error test fails at the minimum step {h_min:.3e})"
-            ),
             CircuitError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }

@@ -722,10 +722,11 @@ impl Netlist {
     /// Element **values** (resistance, capacitance, waveform parameters,
     /// initial conditions, switch state, ...) are deliberately excluded:
     /// two decks with equal digests stamp the same MNA sparsity pattern in
-    /// the same element order, which is exactly the precondition for
-    /// solving them as lanes of one batched system. FNV-1a over the
-    /// structural bytes, finished with a SplitMix64-style avalanche so
-    /// near-identical decks spread across the digest space.
+    /// the same element order, so they can share one sparse symbolic
+    /// analysis — the transient engine's symbolic cache is keyed by this
+    /// digest. FNV-1a over the structural bytes, finished with a
+    /// SplitMix64-style avalanche so near-identical decks spread across
+    /// the digest space.
     pub fn structural_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -10,7 +10,7 @@
 
 use crate::analysis::LinearityReport;
 use crate::mismatch::{DacMismatchParams, MismatchedDac};
-use lcosc_campaign::{CampaignBatch, CampaignStats, Json};
+use lcosc_campaign::{Campaign, CampaignStats, Json};
 
 /// Yield of a die population under two acceptance criteria.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,9 +64,9 @@ struct DieOutcome {
 /// Samples `dies` dies with the given mismatch and scores them against a
 /// regulation window of total relative width `window_rel_width`.
 ///
-/// Deterministic: die `k` uses the campaign engine's hoisted seed
-/// `job_seed(seed_base, k)`, derived at scheduling time — never inside the
-/// worker — so no batching or threading choice can perturb the draws.
+/// Deterministic: die `k` uses the campaign engine's seed
+/// `job_seed(seed_base, k)`, derived from the die's index — never inside
+/// the worker — so no threading choice can perturb the draws.
 ///
 /// # Panics
 ///
@@ -83,12 +83,12 @@ pub fn yield_analysis(
 /// [`yield_analysis`] as an explicit parallel campaign: die draws fan out
 /// over `threads` worker threads (`1` = serial, `0` = all cores).
 ///
-/// Die `k` draws from `job_seed(seed_base, k)` — hoisted into the die's
-/// [`lcosc_campaign::JobCtx`] when the batch plan is built, not re-derived
-/// inside the worker — and the population metrics are folded in die order,
-/// so the returned [`YieldReport`] is bit-identical for every thread count
-/// and batch width. The `seed-stability` golden pins the first hoisted
-/// seeds so the mapping can never drift silently.
+/// Die `k` draws from `job_seed(seed_base, k)` — handed to the worker in
+/// the die's [`lcosc_campaign::JobCtx`], not re-derived inside it — and the
+/// population metrics are folded in die order, so the returned
+/// [`YieldReport`] is bit-identical for every thread count. The
+/// `seed-stability` golden pins the first seeds so the mapping can never
+/// drift silently.
 ///
 /// # Panics
 ///
@@ -103,27 +103,21 @@ pub fn yield_analysis_campaign(
     assert!(dies > 0, "need at least one die");
     assert!(window_rel_width > 0.0, "window must be positive");
     let ((monotonic, regulable, non_monotonic_total, worst_inl), stats) =
-        CampaignBatch::new("dac-yield", (0..dies).collect::<Vec<u32>>())
+        Campaign::new("dac-yield", (0..dies).collect::<Vec<u32>>())
             .seed(seed_base)
             .threads(threads)
             .run_reduce(
-                |_| 0,
-                |ctxs, _dies| {
-                    ctxs.iter()
-                        .map(|ctx| {
-                            // The die's seed comes from the scheduler-hoisted
-                            // context, not from re-deriving `seed_base + k` in
-                            // the worker.
-                            let die = MismatchedDac::sampled(params, ctx.seed);
-                            let report = LinearityReport::analyze(&die);
-                            DieOutcome {
-                                monotonic: report.non_monotonic.is_empty(),
-                                regulable: report.regulation_compatible(window_rel_width),
-                                non_monotonic: report.non_monotonic.len(),
-                                inl_abs: report.inl_worst_rel.abs(),
-                            }
-                        })
-                        .collect()
+                |ctx, _die| {
+                    // The die's seed comes from the engine's job context,
+                    // not from re-deriving `seed_base + k` in the worker.
+                    let die = MismatchedDac::sampled(params, ctx.seed);
+                    let report = LinearityReport::analyze(&die);
+                    DieOutcome {
+                        monotonic: report.non_monotonic.is_empty(),
+                        regulable: report.regulation_compatible(window_rel_width),
+                        non_monotonic: report.non_monotonic.len(),
+                        inl_abs: report.inl_worst_rel.abs(),
+                    }
                 },
                 (0u32, 0u32, 0usize, 0.0f64),
                 |(mut mono, mut reg, mut nm, mut worst), die| {
@@ -217,25 +211,26 @@ mod tests {
     #[test]
     fn parallel_campaign_is_bit_identical_to_serial() {
         let params = DacMismatchParams::default();
-        let serial = yield_analysis(&params, 120, 11, 0.15);
-        for threads in [2, 8] {
-            let par = yield_analysis_campaign(&params, 120, 11, 0.15, threads);
-            assert_eq!(par.report, serial, "threads = {threads}");
+        for (dies, threads) in [(120, 2), (120, 8), (70, 4)] {
+            let serial = yield_analysis(&params, dies, 11, 0.15);
+            let par = yield_analysis_campaign(&params, dies, 11, 0.15, threads);
+            assert_eq!(par.report, serial, "dies = {dies}, threads = {threads}");
             assert_eq!(
                 par.report.to_json().render(),
                 serial.to_json().render(),
-                "threads = {threads}"
+                "dies = {dies}, threads = {threads}"
             );
-            assert_eq!(par.stats.jobs, 120);
+            assert_eq!(par.stats.jobs, dies as usize);
+            assert_eq!(par.stats.threads, threads);
         }
     }
 
     #[test]
     fn die_seed_schedule_is_pinned() {
         // Seed-stability golden: die `k` must draw from the engine's
-        // `job_seed(seed_base, k)`, hoisted at plan time. If either the
-        // seed derivation or the hoist point drifts, every yield number in
-        // the repo's goldens silently shifts — this pin makes that loud.
+        // `job_seed(seed_base, k)`. If the seed derivation drifts, every
+        // yield number in the repo's goldens silently shifts — this pin
+        // makes that loud.
         let expected: Vec<u64> = (0..4).map(|k| lcosc_campaign::job_seed(1, k)).collect();
         assert_eq!(
             expected,
@@ -261,18 +256,6 @@ mod tests {
             }
             assert!(via_campaign.dies == k as u32 + 1);
         }
-    }
-
-    #[test]
-    fn batched_and_solo_scheduling_are_bit_identical() {
-        // The LCOSC_BATCH=off hatch (pinned here via the builder override
-        // inside the campaign — exercised through thread counts, which
-        // change unit claim order) must not perturb any population metric.
-        let params = DacMismatchParams::default();
-        let a = yield_analysis_campaign(&params, 70, 9, 0.15, 1).report;
-        let b = yield_analysis_campaign(&params, 70, 9, 0.15, 4).report;
-        assert_eq!(a, b);
-        assert_eq!(a.to_json().render(), b.to_json().render());
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod fft;
 pub mod filter;
 pub mod interp;
@@ -43,10 +42,6 @@ pub mod sparse;
 pub mod stats;
 pub mod units;
 
-pub use batched::{
-    select_kernel, BatchedLuFactors, BatchedLuSolver, BatchedMatrix, BatchedRhs, LaneStatus,
-    ScalarKernel, WideKernel,
-};
 pub use fft::{dominant_frequency, power_spectrum, Complex};
 pub use filter::{Biquad, EnvelopeFollower, MovingRms, OnePoleLowPass};
 pub use interp::PwlTable;

@@ -9,9 +9,9 @@ use crate::{NumError, Result};
 
 /// Magnitude below which a pivot is declared singular.
 ///
-/// Every solver in the workspace — dense [`LuFactors`], [`ComplexMatrix`],
-/// the batched SoA kernels and the sparse LU — tests its pivots against this
-/// one constant, so they cannot disagree on which system is "singular".
+/// Every solver in the workspace — dense [`LuFactors`], [`ComplexMatrix`]
+/// and the sparse LU — tests its pivots against this one constant, so they
+/// cannot disagree on which system is "singular".
 pub const SINGULAR_PIVOT_THRESHOLD: f64 = f64::MIN_POSITIVE * 1e4;
 
 /// Shared singular-pivot predicate: true when `pmax` (the magnitude of the

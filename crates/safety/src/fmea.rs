@@ -5,7 +5,7 @@
 use crate::detectors::DetectorKind;
 use crate::fault::Fault;
 use crate::scenario::{run_scenario_mission, ScenarioResult, SCENARIO_POST_FAULT_TICKS};
-use lcosc_campaign::{CampaignBatch, CampaignStats, Json};
+use lcosc_campaign::{Campaign, CampaignStats, Json};
 use lcosc_core::config::{Fidelity, OscillatorConfig};
 use lcosc_core::Result;
 
@@ -115,36 +115,22 @@ impl FmeaReport {
         if report.has_errors() {
             return Err(lcosc_core::CoreError::CheckFailed(report));
         }
-        // Scheduled through the batched campaign layer with a uniform
-        // group key: every fault scenario shares the catalog's structure,
-        // so the whole matrix forms one batch (chunked at the width cap).
-        // Workers still score one scenario per job, so the matrix and the
-        // golden `CampaignJob` stream are byte-identical to the per-job
-        // engine for every thread count and unit width.
-        let outcome = CampaignBatch::new("fmea", Fault::catalog())
+        let outcome = Campaign::new("fmea", Fault::catalog())
             .threads(threads)
             .trace(tracer.clone())
-            .try_run(
-                |_| 0,
-                |_ctxs, faults| {
-                    faults
-                        .iter()
-                        .map(|&&fault| {
-                            run_scenario_mission(
-                                fault,
-                                base,
-                                &lcosc_trace::Trace::off(),
-                                fidelity,
-                                SCENARIO_POST_FAULT_TICKS,
-                            )
-                            .map(|result| FmeaEntry {
-                                safe: result.is_safe(),
-                                result,
-                            })
-                        })
-                        .collect()
-                },
-            )?;
+            .try_run(|_ctx, &fault| {
+                run_scenario_mission(
+                    fault,
+                    base,
+                    &lcosc_trace::Trace::off(),
+                    fidelity,
+                    SCENARIO_POST_FAULT_TICKS,
+                )
+                .map(|result| FmeaEntry {
+                    safe: result.is_safe(),
+                    result,
+                })
+            })?;
         Ok(FmeaRun {
             report: FmeaReport {
                 entries: outcome.results,

@@ -442,11 +442,16 @@ impl ServeEngine {
                 started,
             );
         };
-        match sender.try_send(job) {
-            Ok(()) => {
-                self.shared.queued.fetch_add(1, Ordering::SeqCst);
-                Response::Pending(reply_rx)
-            }
+        // Count the job before a worker can see it: incrementing after a
+        // successful send would let the worker's decrement land first and
+        // wrap the counter below zero.
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        let sent = sender.try_send(job);
+        if sent.is_err() {
+            self.shared.queued.fetch_sub(1, Ordering::SeqCst);
+        }
+        match sent {
+            Ok(()) => Response::Pending(reply_rx),
             Err(TrySendError::Full(job)) => {
                 let id = job.id.clone();
                 self.reject(

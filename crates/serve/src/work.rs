@@ -59,8 +59,6 @@ pub fn execute(request: &Request) -> Result<Json, String> {
                     Json::from(stats.symbolic_analyses as i64),
                 ),
                 ("symbolic_reuses", Json::from(stats.symbolic_reuses as i64)),
-                ("steps_accepted", Json::from(stats.steps_accepted as i64)),
-                ("steps_rejected", Json::from(stats.steps_rejected as i64)),
                 ("mode_switches", Json::from(stats.mode_switches as i64)),
                 (
                     "envelope_permille",

@@ -2,7 +2,7 @@
 //! admission-control rejections and graceful shutdown.
 
 use lcosc_serve::{serve_tcp, ServeConfig, ServeEngine};
-use lcosc_trace::Trace;
+use lcosc_trace::{MemorySink, Trace, TraceEvent};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -218,4 +218,59 @@ fn oversized_line_answers_line_too_long_and_keeps_the_connection_alive() {
     drop(writer);
     accept.join().expect("accept loop").expect("clean exit");
     engine.shutdown();
+}
+
+#[test]
+fn recorded_queue_depth_stays_within_queue_plus_clients() {
+    // Clients racing a single worker: every admission and every worker
+    // dequeue touches the queue counter, so a decrement that overtakes its
+    // increment would record a wrapped depth of 2^64 - 1.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 500;
+    const QUEUE_DEPTH: usize = 2;
+    let sink = Arc::new(MemorySink::new());
+    let engine = ServeEngine::start(&ServeConfig {
+        threads: 1,
+        queue_depth: QUEUE_DEPTH,
+        cache_entries: 16,
+        deadline: Duration::from_secs(30),
+        max_line_bytes: 1 << 20,
+        trace: Trace::new(sink.clone()),
+    });
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let engine = &engine;
+            scope.spawn(move || {
+                for k in 0..REQUESTS {
+                    // Distinct resistances: every request misses the cache
+                    // and goes through the queue.
+                    let ohms = 50 + client * REQUESTS + k;
+                    let line = format!(
+                        r#"{{"id":{k},"kind":"transient","deck":{{"elements":[{{"kind":"vsource","p":"in","n":"gnd","wave":{{"type":"dc","value":1.0}}}},{{"kind":"resistor","a":"in","b":"gnd","ohms":{ohms}.0}}]}},"dt":1e-6,"t_end":2e-6}}"#
+                    );
+                    let response = engine.submit_line(&line).wait();
+                    assert!(
+                        response.contains("\"status\":\"ok\"")
+                            || response.contains("\"status\":\"overloaded\""),
+                        "{response}"
+                    );
+                }
+            });
+        }
+    });
+    engine.shutdown();
+    let depths: Vec<u64> = sink
+        .snapshot()
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::ServeRequestTiming { queue_depth, .. } => Some(*queue_depth),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths.len(), CLIENTS * REQUESTS);
+    let worst = depths.iter().copied().max().unwrap_or(0);
+    assert!(
+        worst <= (QUEUE_DEPTH + CLIENTS) as u64,
+        "recorded queue depth {worst} exceeds queue {QUEUE_DEPTH} + {CLIENTS} clients"
+    );
 }

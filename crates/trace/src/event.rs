@@ -251,21 +251,11 @@ pub enum TraceEvent {
         /// Stepping-machinery heap allocations performed after the first
         /// time step (0 on the fast path).
         post_warmup_allocations: u64,
-        /// Lanes in the batched solve that produced this result (0 when
-        /// the deck was solved on its own). Work accounting only — lane
-        /// results are bit-identical to solo solves by contract.
-        batched_lanes: u64,
         /// Sparse symbolic analyses performed (0 on dense paths and on
         /// sparse runs served by the symbolic cache).
         symbolic_analyses: u64,
         /// Sparse runs that reused a cached symbolic analysis.
         symbolic_reuses: u64,
-        /// Adaptive steps accepted by the LTE controller (0 on fixed-grid
-        /// runs).
-        steps_accepted: u64,
-        /// Adaptive steps rejected by the LTE controller (0 on fixed-grid
-        /// runs).
-        steps_rejected: u64,
         /// Envelope↔cycle fidelity hand-offs performed by the multi-rate
         /// engine (0 on single-fidelity runs).
         mode_switches: u64,
@@ -381,17 +371,14 @@ impl TraceEvent {
                 factorizations,
                 factor_reuses,
                 post_warmup_allocations,
-                batched_lanes,
                 symbolic_analyses,
                 symbolic_reuses,
-                steps_accepted,
-                steps_rejected,
                 mode_switches,
                 envelope_permille,
             } => {
                 let _ = write!(
                     s,
-                    r#"{{"ev":"solver_stats","steps":{steps},"newton_iterations":{newton_iterations},"factorizations":{factorizations},"factor_reuses":{factor_reuses},"post_warmup_allocations":{post_warmup_allocations},"batched_lanes":{batched_lanes},"symbolic_analyses":{symbolic_analyses},"symbolic_reuses":{symbolic_reuses},"steps_accepted":{steps_accepted},"steps_rejected":{steps_rejected},"mode_switches":{mode_switches},"envelope_permille":{envelope_permille}}}"#
+                    r#"{{"ev":"solver_stats","steps":{steps},"newton_iterations":{newton_iterations},"factorizations":{factorizations},"factor_reuses":{factor_reuses},"post_warmup_allocations":{post_warmup_allocations},"symbolic_analyses":{symbolic_analyses},"symbolic_reuses":{symbolic_reuses},"mode_switches":{mode_switches},"envelope_permille":{envelope_permille}}}"#
                 );
             }
             TraceEvent::ServeRequest {
@@ -488,11 +475,8 @@ mod tests {
                 factorizations: 1,
                 factor_reuses: 9,
                 post_warmup_allocations: 0,
-                batched_lanes: 4,
                 symbolic_analyses: 1,
                 symbolic_reuses: 0,
-                steps_accepted: 8,
-                steps_rejected: 2,
                 mode_switches: 4,
                 envelope_permille: 900,
             },

@@ -126,18 +126,10 @@ pub struct TraceMetrics {
     /// Post-warm-up allocations across all reported solves (0 when every
     /// solve took the fast path).
     pub solver_post_warmup_allocations: u64,
-    /// Batched-solve lanes across all reported solves (each solve reports
-    /// its own batch width; solo solves report 0).
-    pub solver_batched_lanes: u64,
     /// Sparse symbolic analyses performed across all reported solves.
     pub solver_symbolic_analyses: u64,
     /// Cached-symbolic-analysis reuses across all reported solves.
     pub solver_symbolic_reuses: u64,
-    /// Adaptive steps accepted across all reported solves (0 when every
-    /// solve ran on a fixed grid).
-    pub solver_steps_accepted: u64,
-    /// Adaptive steps rejected across all reported solves.
-    pub solver_steps_rejected: u64,
     /// Envelope↔cycle fidelity hand-offs across all reported solves.
     pub solver_mode_switches: u64,
     /// Sum of per-solve envelope-time permille values (divide by
@@ -217,11 +209,8 @@ impl TraceMetrics {
                 factorizations,
                 factor_reuses,
                 post_warmup_allocations,
-                batched_lanes,
                 symbolic_analyses,
                 symbolic_reuses,
-                steps_accepted,
-                steps_rejected,
                 mode_switches,
                 envelope_permille,
             } => {
@@ -231,11 +220,8 @@ impl TraceMetrics {
                 self.solver_factorizations += factorizations;
                 self.solver_factor_reuses += factor_reuses;
                 self.solver_post_warmup_allocations += post_warmup_allocations;
-                self.solver_batched_lanes += batched_lanes;
                 self.solver_symbolic_analyses += symbolic_analyses;
                 self.solver_symbolic_reuses += symbolic_reuses;
-                self.solver_steps_accepted += steps_accepted;
-                self.solver_steps_rejected += steps_rejected;
                 self.solver_mode_switches += mode_switches;
                 self.solver_envelope_permille += envelope_permille;
             }
@@ -297,18 +283,15 @@ impl TraceMetrics {
         );
         let _ = write!(
             s,
-            r#","solver":{{"runs":{},"steps":{},"newton_iterations":{},"factorizations":{},"factor_reuses":{},"post_warmup_allocations":{},"batched_lanes":{},"symbolic_analyses":{},"symbolic_reuses":{},"steps_accepted":{},"steps_rejected":{},"mode_switches":{},"envelope_permille":{}}}"#,
+            r#","solver":{{"runs":{},"steps":{},"newton_iterations":{},"factorizations":{},"factor_reuses":{},"post_warmup_allocations":{},"symbolic_analyses":{},"symbolic_reuses":{},"mode_switches":{},"envelope_permille":{}}}"#,
             self.solver_runs,
             self.solver_steps,
             self.solver_newton_iterations,
             self.solver_factorizations,
             self.solver_factor_reuses,
             self.solver_post_warmup_allocations,
-            self.solver_batched_lanes,
             self.solver_symbolic_analyses,
             self.solver_symbolic_reuses,
-            self.solver_steps_accepted,
-            self.solver_steps_rejected,
             self.solver_mode_switches,
             self.solver_envelope_permille
         );
@@ -500,11 +483,8 @@ mod tests {
                 factorizations: 1,
                 factor_reuses: 99,
                 post_warmup_allocations: 0,
-                batched_lanes: 8,
                 symbolic_analyses: 1,
                 symbolic_reuses: 0,
-                steps_accepted: 80,
-                steps_rejected: 5,
                 mode_switches: 6,
                 envelope_permille: 950,
             });
@@ -515,15 +495,12 @@ mod tests {
         assert_eq!(m.solver_factorizations, 2);
         assert_eq!(m.solver_factor_reuses, 198);
         assert_eq!(m.solver_post_warmup_allocations, 0);
-        assert_eq!(m.solver_batched_lanes, 16);
         assert_eq!(m.solver_symbolic_analyses, 2);
         assert_eq!(m.solver_symbolic_reuses, 0);
-        assert_eq!(m.solver_steps_accepted, 160);
-        assert_eq!(m.solver_steps_rejected, 10);
         assert_eq!(m.solver_mode_switches, 12);
         assert_eq!(m.solver_envelope_permille, 1900);
         assert!(m.render_json().contains(
-            r#""solver":{"runs":2,"steps":200,"newton_iterations":220,"factorizations":2,"factor_reuses":198,"post_warmup_allocations":0,"batched_lanes":16,"symbolic_analyses":2,"symbolic_reuses":0,"steps_accepted":160,"steps_rejected":10,"mode_switches":12,"envelope_permille":1900}"#
+            r#""solver":{"runs":2,"steps":200,"newton_iterations":220,"factorizations":2,"factor_reuses":198,"post_warmup_allocations":0,"symbolic_analyses":2,"symbolic_reuses":0,"mode_switches":12,"envelope_permille":1900}"#
         ));
     }
 }

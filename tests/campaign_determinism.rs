@@ -84,7 +84,9 @@ fn scheduling_order_does_not_leak_into_results() {
 }
 
 /// The acceptance criterion verbatim: FMEA and yield campaigns produce
-/// byte-identical JSON for `--threads 1` and `--threads 8`.
+/// byte-identical JSON for `--threads 1` and `--threads 8`. The 8-thread
+/// runs must really fan out (the requested count, clamped to the job
+/// count), or the compare would set serial against serial.
 #[test]
 fn fmea_and_yield_json_byte_identical_threads_1_vs_8() {
     let cfg = OscillatorConfig::fast_test();
@@ -94,9 +96,16 @@ fn fmea_and_yield_json_byte_identical_threads_1_vs_8() {
         fmea1.report.to_json().render(),
         fmea8.report.to_json().render()
     );
+    assert_eq!(fmea1.stats.threads, 1);
+    assert_eq!(fmea8.stats.threads, 8.min(fmea8.stats.jobs));
+    assert!(fmea8.stats.threads > 1, "FMEA ran serially");
 
     let params = DacMismatchParams::default();
-    let y1 = yield_analysis_campaign(&params, 150, 42, 0.15, 1);
-    let y8 = yield_analysis_campaign(&params, 150, 42, 0.15, 8);
-    assert_eq!(y1.report.to_json().render(), y8.report.to_json().render());
+    for dies in [64, 150] {
+        let y1 = yield_analysis_campaign(&params, dies, 42, 0.15, 1);
+        let y8 = yield_analysis_campaign(&params, dies, 42, 0.15, 8);
+        assert_eq!(y1.report.to_json().render(), y8.report.to_json().render());
+        assert_eq!(y1.stats.threads, 1);
+        assert_eq!(y8.stats.threads, 8, "{dies}-die yield ran on fewer threads");
+    }
 }

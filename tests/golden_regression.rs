@@ -190,59 +190,6 @@ fn legacy_hold_quirk_is_refuted_with_a_counterexample_trace() {
     );
 }
 
-/// Pins the batch scheduler's structural-digest grouping: a mixed deck
-/// set (five tank value-variants interleaved with two RC ladders and one
-/// switch deck) must always produce the same ordered `BatchPlan` — same
-/// unit boundaries, same hex group keys, same solo/batched split. Any
-/// change to the digest, the grouping policy, or the odd-lot fallback
-/// shows up as a fixture diff.
-#[test]
-fn batch_grouping_of_mixed_decks_is_stable() {
-    use lcosc::campaign::CampaignBatch;
-
-    fn tank(scale: f64) -> Netlist {
-        let mut nl = Netlist::new();
-        let top = nl.node("top");
-        nl.capacitor_ic(top, Netlist::GROUND, 2e-9 * scale, 1.0);
-        nl.inductor(top, Netlist::GROUND, 25e-6 * scale);
-        nl.resistor(top, Netlist::GROUND, 5.0e3);
-        nl
-    }
-    fn ladder(ohms: f64) -> Netlist {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let b = nl.node("b");
-        nl.resistor(a, b, ohms);
-        nl.capacitor_ic(b, Netlist::GROUND, 1e-9, 0.0);
-        nl.voltage_source(a, Netlist::GROUND, lcosc::circuit::Waveform::Dc(1.0));
-        nl
-    }
-    fn switch_deck() -> Netlist {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.resistor(a, Netlist::GROUND, 100.0);
-        nl.switch(a, Netlist::GROUND, true);
-        nl
-    }
-
-    // Interleaved on purpose: grouping must be by digest, not adjacency.
-    let decks = vec![
-        tank(1.00),
-        ladder(50.0),
-        tank(1.05),
-        switch_deck(),
-        tank(1.10),
-        ladder(75.0),
-        tank(1.15),
-        tank(1.20),
-    ];
-    let plan = CampaignBatch::new("grouping", decks)
-        .max_width(4)
-        .min_batch(2)
-        .plan(Netlist::structural_digest);
-    golden("batch_grouping.json", &plan.to_json().render_pretty(2));
-}
-
 /// Pins the satellite render-order contract: diagnostics render sorted
 /// by (code, location) regardless of emission order.
 #[test]
