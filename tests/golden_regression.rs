@@ -11,8 +11,10 @@
 //! shortest-roundtrip float formatting, so any byte difference is a real
 //! behavioural difference.
 
-use lcosc::campaign::Json;
-use lcosc::circuit::{run_transient, Netlist, TransientOptions};
+use lcosc::campaign::{digest_bytes, Json};
+use lcosc::circuit::{
+    run_transient, workloads, Integrator, Netlist, SolverPath, TransientOptions, Waveform,
+};
 use lcosc::core::config::OscillatorConfig;
 use lcosc::dac::{multiplication_factor, relative_step, Code, DacMismatchParams};
 use lcosc::safety::FmeaReport;
@@ -104,6 +106,132 @@ fn tank_ring_down_waveform_is_stable() {
             ("vdiff", Json::Array(vdiff)),
         ])
         .render_pretty(2),
+    );
+}
+
+/// Diode-clamped divider driven by a 500 kHz sine: the nonlinear deck of
+/// `crates/circuit/tests/solver_differential.rs`.
+fn diode_divider() -> Netlist {
+    let mut nl = Netlist::new();
+    let vin = nl.node("vin");
+    let out = nl.node("out");
+    nl.voltage_source(
+        vin,
+        Netlist::GROUND,
+        Waveform::Sine {
+            offset: 0.0,
+            amplitude: 1.5,
+            frequency: 5e5,
+            phase: 0.0,
+        },
+    );
+    nl.resistor(vin, out, 1e3);
+    nl.diode(
+        out,
+        Netlist::GROUND,
+        lcosc::device::diode::DiodeModel::default(),
+    );
+    nl.capacitor(out, Netlist::GROUND, 1e-9);
+    nl
+}
+
+/// Pins the transient solver paths no other oracle covers bit for bit:
+/// dense Newton and dense linear (two `.sp` fixtures run with their own
+/// `.tran` cards), sparse linear (two large linear workloads under
+/// `Auto`), sparse Newton (a diode deck forced to `Sparse`) and the
+/// `Reference` oracle, each under both integrators. Every recorded time,
+/// voltage and current bit enters the digest; the work counters are
+/// pinned too, except the symbolic-analysis counters, which depend on
+/// what the process solved before.
+#[test]
+fn solver_paths_are_stable() {
+    if std::env::var_os("LCOSC_SOLVER").is_some() {
+        return; // the hatch overrides the paths this fixture pins
+    }
+    let spice = |name: &str| {
+        let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", "spice", name]
+            .iter()
+            .collect();
+        let text = std::fs::read_to_string(&path).expect("read spice fixture");
+        let deck = lcosc::spice::parse_spice(&text).expect("spice fixture parses");
+        let opts = deck.tran_options().expect("fixture has a .tran card");
+        (deck.netlist, opts)
+    };
+    let forced = |nl: Netlist, dt: f64, t_end: f64, solver: SolverPath| {
+        let mut opts = TransientOptions::new(dt, t_end);
+        opts.solver = solver;
+        (nl, opts)
+    };
+    let cases = [
+        ("antiparallel_diodes.sp", spice("antiparallel_diodes.sp")),
+        ("pulse_switch.sp", spice("pulse_switch.sp")),
+        (
+            "coupled_tank_network(128)/auto",
+            forced(
+                workloads::coupled_tank_network(128),
+                5e-9,
+                2e-6,
+                SolverPath::Auto,
+            ),
+        ),
+        (
+            "rc_ladder(400)/auto",
+            forced(workloads::rc_ladder(400), 1e-9, 4e-7, SolverPath::Auto),
+        ),
+        (
+            "diode_divider/sparse",
+            forced(diode_divider(), 1e-8, 4e-6, SolverPath::Sparse),
+        ),
+        (
+            "diode_divider/reference",
+            forced(diode_divider(), 1e-8, 4e-6, SolverPath::Reference),
+        ),
+    ];
+    let mut runs = Vec::new();
+    for (label, (nl, opts)) in &cases {
+        for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+            let opts = TransientOptions {
+                integrator,
+                ..*opts
+            };
+            let res = run_transient(nl, &opts).expect("transient converges");
+            let bytes: Vec<u8> = [res.times(), res.voltages_flat(), res.currents_flat()]
+                .iter()
+                .flat_map(|s| s.iter())
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            let s = res.stats();
+            let last = res.len() - 1;
+            runs.push(Json::obj([
+                ("case", Json::from(*label)),
+                ("integrator", Json::from(format!("{integrator:?}"))),
+                ("used_sparse_path", Json::from(s.used_sparse_path)),
+                ("used_linear_fast_path", Json::from(s.used_linear_fast_path)),
+                ("samples", Json::from(res.len())),
+                ("final_time", Json::from(res.times()[last])),
+                (
+                    "final_v",
+                    Json::Array(
+                        res.voltages_at(last)
+                            .iter()
+                            .map(|&v| Json::from(v))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "digest",
+                    Json::from(format!("{:016x}", digest_bytes(&bytes))),
+                ),
+                ("steps", Json::from(s.steps as i64)),
+                ("newton_iterations", Json::from(s.newton_iterations as i64)),
+                ("factorizations", Json::from(s.factorizations as i64)),
+                ("factor_reuses", Json::from(s.factor_reuses as i64)),
+            ]));
+        }
+    }
+    golden(
+        "solver_paths.json",
+        &Json::obj([("runs", Json::Array(runs))]).render_pretty(2),
     );
 }
 
