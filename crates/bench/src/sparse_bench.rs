@@ -349,8 +349,8 @@ fn run_sparse_bench_with(
         post_warmup_allocations: ladder_stats.post_warmup_allocations,
         symbolic_analyses: ladder_stats.symbolic_analyses,
         symbolic_reuses: ladder_stats.symbolic_reuses,
-        mode_switches: ladder_stats.mode_switches,
-        envelope_permille: ladder_stats.envelope_permille,
+        mode_switches: 0,
+        envelope_permille: 0,
     });
 
     let mut crossover = Vec::with_capacity(crossover_sections.len());

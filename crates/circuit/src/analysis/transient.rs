@@ -1,23 +1,25 @@
 //! Transient analysis: fixed-step backward-Euler or trapezoidal integration
 //! with a Newton solve at every time step.
 //!
-//! Solver paths:
+//! One step loop over two linear backends: every step is one
+//! [`newton_solve_in`] call on a workspace that is either **dense** (LU
+//! with partial pivoting) or **sparse** (a CSC LU whose symbolic analysis,
+//! ordering plus elimination pattern, is computed once per netlist
+//! structural digest and cached process-wide). On a fully linear deck
+//! ([`Netlist::is_linear`]) the workspace stamps and factors the MNA matrix
+//! once per run and each step restamps only the RHS and substitutes; a
+//! nonlinear deck refactors every Newton iteration.
 //!
-//! - the **dense fast path** reuses one Newton workspace (matrix, RHS, LU
-//!   factors) for the whole run, and on fully linear decks
-//!   ([`Netlist::is_linear`]) stamps and LU-factors the MNA matrix exactly
-//!   once, forward/back-substituting per step. Bit-identical to the
-//!   reference path by construction;
-//! - the **sparse path** ([`SolverPath::Sparse`]) solves through a CSC
-//!   sparse LU whose symbolic analysis (ordering + elimination pattern) is
-//!   computed once per netlist structural digest and cached process-wide.
-//!   Its elimination order differs from dense partial pivoting, so results
-//!   agree with dense to solver tolerance, not bitwise — but the sparse
-//!   path itself is a pure function of (pattern, values) and therefore
-//!   bit-identical across runs and thread counts;
-//! - the **reference path** ([`SolverPath::Reference`], also selectable via
-//!   the environment variable `LCOSC_SOLVER=reference`) runs the
-//!   straightforward allocating Newton solve on every step.
+//! - [`SolverPath::Dense`] keeps one dense workspace for the whole run and
+//!   is bit-identical to the reference path by construction;
+//! - [`SolverPath::Sparse`] keeps one sparse workspace. Its elimination
+//!   order differs from dense partial pivoting, so results agree with dense
+//!   to solver tolerance, not bitwise, but the sparse path itself is a
+//!   pure function of (pattern, values) and therefore bit-identical across
+//!   runs and thread counts;
+//! - [`SolverPath::Reference`] (also selectable via the environment
+//!   variable `LCOSC_SOLVER=reference`) takes a fresh dense workspace every
+//!   step and runs a full Newton solve even on linear decks.
 //!
 //! [`SolverPath::Auto`] (the default) picks dense below
 //! [`SPARSE_MIN_UNKNOWNS`] MNA unknowns and sparse at or above it (linear
@@ -31,12 +33,9 @@ use std::sync::Arc;
 use crate::analysis::dc::{solve_dc_with, DcOptions};
 use crate::analysis::{newton_solve_in, NewtonWorkspace};
 use crate::netlist::{ElementId, Netlist, NodeId};
-use crate::stamp::{
-    build_system, element_current, stamp_linear_matrix, stamp_linear_rhs, transient_stamp_pattern,
-    AbsorbRule, History, Mode, SparseStamper,
-};
+use crate::stamp::{build_system, element_current, AbsorbRule, History, Mode};
 use crate::{CircuitError, Result};
-use lcosc_num::sparse::{SparseLu, SparseMatrix, SparseSymbolic};
+use lcosc_num::sparse::{SparseMatrix, SparseSymbolic};
 
 pub use crate::stamp::Integrator;
 
@@ -50,23 +49,23 @@ pub const SPARSE_MIN_UNKNOWNS: usize = 64;
 /// Which transient solver implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverPath {
-    /// Pick the fastest correct path: the dense cached-factorization /
-    /// workspace-Newton solver below [`SPARSE_MIN_UNKNOWNS`] unknowns, the
-    /// sparse solver at or above it (linear decks only — nonlinear decks
-    /// stay dense, where partial pivoting is the safer default).
+    /// Pick the fastest correct path: the dense solver below
+    /// [`SPARSE_MIN_UNKNOWNS`] unknowns, the sparse solver at or above it
+    /// (linear decks only — nonlinear decks stay dense, where partial
+    /// pivoting is the safer default).
     /// Overridden by the environment variable `LCOSC_SOLVER` when set to
     /// `reference`, `dense` or `sparse`; unrecognized values are ignored.
     #[default]
     Auto,
-    /// Force the dense fast path regardless of deck size.
+    /// Force the dense solver regardless of deck size.
     Dense,
     /// Force the sparse path regardless of deck size. Results agree with
     /// dense to solver tolerance (different elimination order), and are
     /// bit-identical across runs and thread counts.
     Sparse,
-    /// The straightforward per-step Newton solve with per-step allocations.
-    /// Kept as the differential-testing oracle; bit-identical to the dense
-    /// fast path.
+    /// A full Newton solve on a fresh dense workspace every step, without
+    /// the linear-deck factorization reuse. Kept as the differential-testing
+    /// oracle; bit-identical to [`SolverPath::Dense`].
     Reference,
 }
 
@@ -178,7 +177,7 @@ pub struct SolverStats {
     /// time step completed. Zero on the fast path — the acceptance gate for
     /// "allocation-free stepping".
     pub post_warmup_allocations: u64,
-    /// Whether the run used the cached-factorization linear fast path.
+    /// Whether the run factored a linear deck once on the dense backend.
     pub used_linear_fast_path: bool,
     /// Whether the run solved through the sparse path.
     pub used_sparse_path: bool,
@@ -188,22 +187,6 @@ pub struct SolverStats {
     /// Sparse symbolic analyses reused from the process-wide cache (0 or 1:
     /// a cache hit on the netlist's structural digest).
     pub symbolic_reuses: u64,
-    /// Envelope↔cycle fidelity hand-offs performed by a multi-rate run
-    /// (zero for plain circuit-level solves; filled in by the closed-loop
-    /// multi-rate simulation that owns the hand-off state machine).
-    pub mode_switches: u64,
-    /// Thousandths of the run's simulated time spent in envelope fidelity
-    /// (0 = all cycle-accurate, 1000 = all envelope). An integer so the
-    /// value can ride the byte-stable golden trace stream unchanged.
-    pub envelope_permille: u64,
-}
-
-impl SolverStats {
-    /// Fraction of simulated time spent in envelope fidelity, from
-    /// [`SolverStats::envelope_permille`].
-    pub fn envelope_fraction(&self) -> f64 {
-        self.envelope_permille as f64 / 1000.0
-    }
 }
 
 /// Allocation bookkeeping for [`SolverStats`]: counts allocations at their
@@ -374,9 +357,9 @@ impl TransientResult {
 }
 
 /// Number of samples `run_transient` records: `t = 0`, every `stride`-th
-/// step, and the final step.
-fn sample_count(steps: usize, stride: usize) -> usize {
-    1 + steps / stride + usize::from(!steps.is_multiple_of(stride) && steps > 0)
+/// step, and the final step. `None` when the count overflows `usize`.
+fn sample_count(steps: usize, stride: usize) -> Option<usize> {
+    (steps / stride).checked_add(1 + usize::from(!steps.is_multiple_of(stride) && steps > 0))
 }
 
 /// Number of fixed-size steps a run from 0 to `t_end` takes:
@@ -394,7 +377,8 @@ fn step_count(t_end: f64, dt: f64) -> usize {
 /// Propagates Newton convergence failures annotated with the failing time
 /// point, DC failures when `use_initial_conditions` is `false`, and
 /// [`CircuitError::InvalidInput`] for options rejected by
-/// [`TransientOptions::validate`].
+/// [`TransientOptions::validate`] or for a run whose recorded output cannot
+/// be allocated.
 pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientResult> {
     opts.validate()?;
     let n = nl.unknown_count();
@@ -403,10 +387,43 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
     // `n > 0` keeps the degenerate empty deck off the factorization paths
     // (nothing to factor; Newton's early return handles it).
     let sparse = path == SolverPath::Sparse && n > 0;
-    let linear_fast = !reference && !sparse && n > 0 && nl.is_linear();
-    let sparse_linear = sparse && nl.is_linear();
+    let linear = !reference && n > 0 && nl.is_linear();
     let nn = nl.node_count() - 1;
     let mut alloc = AllocCounter::new();
+
+    // Size the recorded output first, with checked arithmetic and fallible
+    // reservations: an absurd `t_end / dt` must come back as a typed error,
+    // not abort the process on a failed allocation.
+    let steps = step_count(opts.t_end, opts.dt);
+    let stride = opts.record_stride;
+    let too_large = || CircuitError::InvalidInput("transient output is too large to allocate");
+    let samples = sample_count(steps, stride).ok_or_else(too_large)?;
+    let storage = |width: usize| -> Result<Vec<f64>> {
+        let mut v = Vec::new();
+        samples
+            .checked_mul(width)
+            .and_then(|len| v.try_reserve_exact(len).ok())
+            .ok_or_else(too_large)?;
+        Ok(v)
+    };
+    let mut result = TransientResult {
+        times: storage(1)?,
+        node_count: nl.node_count(),
+        element_count: nl.elements().len(),
+        voltages: storage(nn)?,
+        currents: storage(nl.elements().len())?,
+        stats: SolverStats {
+            used_linear_fast_path: linear && !sparse,
+            used_sparse_path: sparse,
+            ..SolverStats::default()
+        },
+    };
+    alloc.note(3); // times / voltages / currents storage
+
+    // Branch-index table for stamping, history updates and current
+    // recording, hoisted once per run.
+    let branch = nl.branch_indices();
+    alloc.note(1);
 
     let mut history = History::from_initial_conditions(nl);
     alloc.note(4); // the four history vectors
@@ -419,67 +436,41 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
         let x = dc.raw().to_vec();
         // Absorb the DC point into the reactive-element history so the first
         // step starts from steady state.
-        history.absorb(nl, &x, AbsorbRule::Dc);
+        history.absorb(nl, &branch, &x, AbsorbRule::Dc);
         x
     };
     alloc.note(1);
 
-    let steps = step_count(opts.t_end, opts.dt);
-    let stride = opts.record_stride;
-    let samples = sample_count(steps, stride);
-    let mut result = TransientResult {
-        times: Vec::with_capacity(samples),
-        node_count: nl.node_count(),
-        element_count: nl.elements().len(),
-        voltages: Vec::with_capacity(samples * nn),
-        currents: Vec::with_capacity(samples * nl.elements().len()),
-        stats: SolverStats {
-            used_linear_fast_path: linear_fast,
-            used_sparse_path: sparse,
-            ..SolverStats::default()
-        },
-    };
-    alloc.note(3); // times / voltages / currents storage
-
-    // Branch-index table for current recording, hoisted once per run.
-    let branch = nl.branch_indices();
-    alloc.note(1);
-
     // Record t = 0 under DC conventions (reactive currents are zero).
-    {
-        let mode0 = Mode::Dc {
-            gmin: 1e-12,
-            source_scale: 1.0,
-        };
-        result.push_sample(nl, &branch, 0.0, &x, &mode0);
-    }
-
-    // Persistent workspace for the fast paths. The reference path ignores it
-    // and allocates per step, like the historical solver did.
-    let mut ws = if reference || sparse {
-        None
-    } else {
-        alloc.note(4); // matrix + rhs + solution + LU storage
-        Some(NewtonWorkspace::new(n))
+    let mode0 = Mode::Dc {
+        gmin: 1e-12,
+        source_scale: 1.0,
     };
-    // Sparse workspace: pattern-fixed matrix plus the cached (or freshly
-    // computed) symbolic analysis for this netlist's structure.
-    let mut sws = if sparse {
-        let pattern = transient_stamp_pattern(nl);
-        let a = SparseMatrix::from_pattern(n, &pattern)
-            .map_err(|_| CircuitError::InvalidInput("sparse pattern construction failed"))?;
-        let (sym, reused) = cached_symbolic(nl, &a)?;
+    result.push_sample(nl, &branch, 0.0, &x, &mode0);
+
+    // One workspace for the whole run. The reference path has none: it
+    // takes fresh buffers every step, like the historical solver did.
+    let mut ws = if reference {
+        None
+    } else if sparse {
+        let mode = Mode::Transient {
+            t: 0.0,
+            dt: opts.dt,
+            integrator: opts.integrator,
+            history: &history,
+        };
+        let (ws, reused) = sparse_workspace(nl, &branch, &x, &mode)?;
         if reused {
             result.stats.symbolic_reuses += 1;
         } else {
             result.stats.symbolic_analyses += 1;
         }
         alloc.note(6); // pattern + matrix + LU values/work + rhs/solution
-        Some(SparseWorkspace::new(a, sym))
+        Some(ws)
     } else {
-        None
+        alloc.note(4); // matrix + rhs + solution + LU storage
+        Some(NewtonWorkspace::dense(n))
     };
-    let mut factored = false;
 
     for step in 1..=steps {
         let t = step as f64 * opts.dt;
@@ -489,102 +480,37 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
             integrator: opts.integrator,
             history: &history,
         };
-        result.stats.steps += 1;
-
-        if let Some(sws) = &mut sws {
-            if sparse_linear {
-                // Linear deck through the sparse solver: symbolic analysis
-                // cached per structure, numeric factorization once per run,
-                // substitution per step.
-                if !factored {
-                    let mut target = SparseStamper::new(&mut sws.a);
-                    stamp_linear_matrix(nl, &mode, &mut target);
-                    if target.missed {
-                        return Err(CircuitError::InvalidInput(
-                            "sparse pattern missed a linear stamp",
-                        ));
-                    }
-                    if sws.lu.factor_into(&sws.a).is_err() {
-                        return Err(CircuitError::Singular { at: t });
-                    }
-                    factored = true;
-                    result.stats.factorizations += 1;
-                } else {
-                    result.stats.factor_reuses += 1;
-                }
-                stamp_linear_rhs(nl, &mode, &mut sws.b);
-                if sws.lu.solve_with(&sws.b, &mut sws.xn, &mut sws.y).is_err() {
-                    return Err(CircuitError::Singular { at: t });
-                }
-                result.stats.newton_iterations +=
-                    apply_linear_update(&mut x, &sws.xn, nn, opts, t)?;
-            } else {
-                // Nonlinear deck forced onto the sparse path: full Newton
-                // with a numeric refactorization per iteration; the symbolic
-                // pattern is reused throughout.
-                let iters =
-                    newton_solve_sparse_in(nl, &mut x, &mode, opts.max_iter, opts.v_tol, t, sws)?;
-                result.stats.newton_iterations += iters;
-                result.stats.factorizations += iters;
+        let mut fresh;
+        let ws = match &mut ws {
+            Some(ws) => ws,
+            None => {
+                fresh = NewtonWorkspace::dense(n);
+                alloc.note(4);
+                &mut fresh
             }
+        };
+        let reused = linear && ws.factored;
+        let iters = newton_solve_in(
+            nl,
+            &branch,
+            &mut x,
+            &mode,
+            opts.max_iter,
+            opts.v_tol,
+            2.0,
+            "transient",
+            t,
+            ws,
+            linear,
+        )?;
+        let stats = &mut result.stats;
+        stats.steps += 1;
+        stats.newton_iterations += iters;
+        if reused {
+            stats.factor_reuses += 1;
         } else {
-            match &mut ws {
-                None => {
-                    // Reference: fresh buffers every step, full Newton.
-                    let mut step_ws = NewtonWorkspace::new(n);
-                    alloc.note(4);
-                    let iters = newton_solve_in(
-                        nl,
-                        &mut x,
-                        &mode,
-                        opts.max_iter,
-                        opts.v_tol,
-                        2.0,
-                        "transient",
-                        t,
-                        &mut step_ws,
-                    )?;
-                    result.stats.newton_iterations += iters;
-                    result.stats.factorizations += iters;
-                }
-                Some(ws) if linear_fast => {
-                    // Linear deck: the MNA matrix depends only on (deck, dt,
-                    // integrator), so stamp + factor exactly once and reuse the
-                    // factorization for every step's substitution.
-                    if !factored {
-                        stamp_linear_matrix(nl, &mode, &mut ws.a);
-                        if ws.lu.factor_into(&ws.a).is_err() {
-                            return Err(CircuitError::Singular { at: t });
-                        }
-                        factored = true;
-                        result.stats.factorizations += 1;
-                    } else {
-                        result.stats.factor_reuses += 1;
-                    }
-                    stamp_linear_rhs(nl, &mode, &mut ws.b);
-                    if ws.lu.solve_into(&ws.b, &mut ws.xn).is_err() {
-                        return Err(CircuitError::Singular { at: t });
-                    }
-                    result.stats.newton_iterations +=
-                        apply_linear_update(&mut x, &ws.xn, nn, opts, t)?;
-                }
-                Some(ws) => {
-                    // Nonlinear deck: full Newton, but on persistent buffers.
-                    let iters = newton_solve_in(
-                        nl,
-                        &mut x,
-                        &mode,
-                        opts.max_iter,
-                        opts.v_tol,
-                        2.0,
-                        "transient",
-                        t,
-                        ws,
-                    )?;
-                    result.stats.newton_iterations += iters;
-                    result.stats.factorizations += iters;
-                }
-            }
+            // A linear step factors once, a Newton step every iteration.
+            stats.factorizations += if linear { 1 } else { iters };
         }
 
         if step % stride == 0 || step == steps {
@@ -594,6 +520,7 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
         // pre-step history (consistent companion model).
         history.absorb(
             nl,
+            &branch,
             &x,
             AbsorbRule::Transient {
                 dt: opts.dt,
@@ -652,14 +579,27 @@ fn resolve_solver_path(configured: SolverPath, nl: &Netlist) -> SolverPath {
     }
 }
 
-/// Process-wide symbolic-analysis cache keyed by the netlist's structural
-/// digest. The symbolic result is a pure function of the structure, so a
-/// cache hit is observationally identical to recomputing — whichever thread
-/// populated the entry, factorization results are the same bits.
-fn cached_symbolic(nl: &Netlist, a: &SparseMatrix) -> Result<(Arc<SparseSymbolic>, bool)> {
+/// The sparse workspace for one run. Its pattern is recorded by stamping
+/// `mode` once, since stamp positions depend on the structure only. Its
+/// symbolic analysis comes from a process-wide cache keyed by the
+/// netlist's structural digest; the flag says whether the cache hit.
+///
+/// The symbolic result is a pure function of the structure, so a cache hit
+/// is observationally identical to recomputing: whichever thread populated
+/// the entry, factorization results are the same bits.
+fn sparse_workspace(
+    nl: &Netlist,
+    branch: &[Option<usize>],
+    x: &[f64],
+    mode: &Mode<'_>,
+) -> Result<(NewtonWorkspace, bool)> {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
     static CACHE: OnceLock<Mutex<HashMap<u64, Arc<SparseSymbolic>>>> = OnceLock::new();
+    let mut pattern = Vec::new();
+    build_system(nl, branch, x, mode, &mut pattern, &mut vec![0.0; x.len()]);
+    let a = SparseMatrix::from_pattern(x.len(), &pattern)
+        .map_err(|_| CircuitError::InvalidInput("sparse pattern construction failed"))?;
     let key = nl.structural_digest();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Ok(map) = cache.lock() {
@@ -668,140 +608,16 @@ fn cached_symbolic(nl: &Netlist, a: &SparseMatrix) -> Result<(Arc<SparseSymbolic
             // check (and the pattern check inside `factor_into`) turn one
             // into a typed error instead of a wrong answer.
             if sym.dim() == a.dim() {
-                return Ok((Arc::clone(sym), true));
+                return Ok((NewtonWorkspace::sparse(a, Arc::clone(sym)), true));
             }
         }
     }
-    let sym = Arc::new(SparseSymbolic::analyze(a).map_err(|_| CircuitError::Singular { at: 0.0 })?);
+    let sym =
+        Arc::new(SparseSymbolic::analyze(&a).map_err(|_| CircuitError::Singular { at: 0.0 })?);
     if let Ok(mut map) = cache.lock() {
         map.insert(key, Arc::clone(&sym));
     }
-    Ok((sym, false))
-}
-
-/// Persistent buffers for the sparse path: the pattern-fixed matrix, the
-/// numeric factorization (holding the shared symbolic analysis), RHS,
-/// solution and substitution scratch. Sized once; stepping is
-/// allocation-free.
-struct SparseWorkspace {
-    a: SparseMatrix,
-    lu: SparseLu,
-    b: Vec<f64>,
-    xn: Vec<f64>,
-    y: Vec<f64>,
-}
-
-impl SparseWorkspace {
-    fn new(a: SparseMatrix, sym: Arc<SparseSymbolic>) -> Self {
-        let n = a.dim();
-        SparseWorkspace {
-            a,
-            lu: SparseLu::new(sym),
-            b: vec![0.0; n],
-            xn: vec![0.0; n],
-            y: vec![0.0; n],
-        }
-    }
-}
-
-/// The sparse twin of `newton_solve_in`: identical Newton iteration
-/// (clamped node-voltage updates, branch currents free, same convergence
-/// test), but restamping into the pattern-fixed sparse matrix and running a
-/// numeric refactorization per iteration on the cached symbolic pattern.
-fn newton_solve_sparse_in(
-    nl: &Netlist,
-    x: &mut [f64],
-    mode: &Mode<'_>,
-    max_iter: usize,
-    v_tol: f64,
-    at: f64,
-    sws: &mut SparseWorkspace,
-) -> Result<u64> {
-    let nn = nl.node_count() - 1;
-    if x.is_empty() {
-        return Ok(0);
-    }
-    for iter in 1..=max_iter {
-        let mut target = SparseStamper::new(&mut sws.a);
-        build_system(nl, x, mode, &mut target, &mut sws.b);
-        if target.missed {
-            return Err(CircuitError::InvalidInput(
-                "sparse pattern missed a companion stamp",
-            ));
-        }
-        if sws.lu.factor_into(&sws.a).is_err() {
-            return Err(CircuitError::Singular { at });
-        }
-        if sws.lu.solve_with(&sws.b, &mut sws.xn, &mut sws.y).is_err() {
-            return Err(CircuitError::Singular { at });
-        }
-        let mut max_delta = 0.0f64;
-        for (i, xi) in x.iter_mut().enumerate() {
-            let mut delta = sws.xn[i] - *xi;
-            if i < nn {
-                // Limit node-voltage moves; branch currents are left free.
-                delta = delta.clamp(-2.0, 2.0);
-                max_delta = max_delta.max(delta.abs());
-            }
-            *xi += delta;
-        }
-        if !x.iter().all(|v| v.is_finite()) {
-            return Err(CircuitError::NoConvergence {
-                analysis: "transient",
-                at,
-            });
-        }
-        if max_delta < v_tol {
-            return Ok(iter as u64);
-        }
-    }
-    Err(CircuitError::NoConvergence {
-        analysis: "transient",
-        at,
-    })
-}
-
-/// Replays the reference Newton update loop against the (iterate-
-/// independent) linear solution `xn`, returning the iteration count.
-///
-/// On a linear deck the stamped system never reads `x`, so every reference
-/// Newton iteration solves the identical system and obtains the identical
-/// `xn`; only the clamped update `x[i] += clamp(xn[i] − x[i])` evolves.
-/// Repeating exactly that update against the single cached solution
-/// therefore reproduces the reference iterates — including their final
-/// rounding — bit for bit.
-fn apply_linear_update(
-    x: &mut [f64],
-    xn: &[f64],
-    nn: usize,
-    opts: &TransientOptions,
-    t: f64,
-) -> Result<u64> {
-    for iter in 1..=opts.max_iter {
-        let mut max_delta = 0.0f64;
-        for i in 0..x.len() {
-            let mut delta = xn[i] - x[i];
-            if i < nn {
-                // Limit node-voltage moves; branch currents are left free.
-                delta = delta.clamp(-2.0, 2.0);
-                max_delta = max_delta.max(delta.abs());
-            }
-            x[i] += delta;
-        }
-        if !x.iter().all(|v| v.is_finite()) {
-            return Err(CircuitError::NoConvergence {
-                analysis: "transient",
-                at: t,
-            });
-        }
-        if max_delta < opts.v_tol {
-            return Ok(iter as u64);
-        }
-    }
-    Err(CircuitError::NoConvergence {
-        analysis: "transient",
-        at: t,
-    })
+    Ok((NewtonWorkspace::sparse(a, sym), false))
 }
 
 #[cfg(test)]
@@ -1075,11 +891,29 @@ mod tests {
                     + 1;
                 assert_eq!(
                     sample_count(steps, stride),
-                    expect,
+                    Some(expect),
                     "steps {steps} stride {stride}"
                 );
             }
         }
+        assert_eq!(sample_count(usize::MAX, 1), None);
+        assert_eq!(sample_count(usize::MAX, 2), Some(usize::MAX / 2 + 2));
+    }
+
+    #[test]
+    fn unallocatable_output_is_a_typed_error() {
+        // 1e15 steps: the recorded times alone would need 8 PB. This must
+        // come back as `InvalidInput` instead of aborting the process on a
+        // failed allocation.
+        let mut nl = Netlist::new();
+        let a = nl.node("in");
+        nl.voltage_source(a, Netlist::GROUND, Waveform::Dc(1.0));
+        nl.resistor(a, Netlist::GROUND, 50.0);
+        let err = run_transient(&nl, &TransientOptions::new(1e-12, 1000.0)).expect_err("too large");
+        assert!(matches!(err, CircuitError::InvalidInput(_)), "{err}");
+        // Past `usize::MAX` steps the sample count itself overflows.
+        let err = run_transient(&nl, &TransientOptions::new(1e-300, 1e10)).expect_err("overflow");
+        assert!(matches!(err, CircuitError::InvalidInput(_)), "{err}");
     }
 
     #[test]

@@ -14,9 +14,10 @@ use lcosc_num::sparse::SparseMatrix;
 /// sparse) and the AC stamper numerically identical.
 pub(crate) const GMIN: f64 = 1e-12;
 
-/// Destination of MNA matrix stamps. Implemented by the dense [`Matrix`]
-/// and by [`SparseStamper`], so one set of stamp formulas serves both
-/// solver paths — the sparse stamper cannot drift from the dense one.
+/// Destination of the matrix stamps of [`build_system`], the only place
+/// the element stamp formulas live. Implemented by the dense [`Matrix`],
+/// by [`SparseStamper`], by `()` (no matrix: a linear deck's RHS-only
+/// restamp) and by `Vec<(usize, usize)>` (records the sparse pattern).
 pub(crate) trait StampTarget {
     /// Zeroes every value, keeping the storage.
     fn clear(&mut self);
@@ -59,6 +60,28 @@ impl StampTarget for SparseStamper<'_> {
         if !self.m.add(i, j, v) {
             self.missed = true;
         }
+    }
+}
+
+/// Discards the matrix: stamping into `()` computes only the RHS. A linear
+/// deck's matrix is fixed for a whole run, so after the one factorization
+/// each step restamps just its sources and history currents.
+impl StampTarget for () {
+    fn clear(&mut self) {}
+    fn add(&mut self, _: usize, _: usize, _: f64) {}
+}
+
+/// Records the `(row, col)` slot of every stamp: the sparse solver's fixed
+/// pattern. Stamp positions depend on the netlist structure and the
+/// analysis mode only, never on values, so one transient stamp records
+/// every slot any Newton iteration of any step can touch. Duplicates are
+/// fine; the sparse pattern constructor merges them.
+impl StampTarget for Vec<(usize, usize)> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn add(&mut self, i: usize, j: usize, _: f64) {
+        self.push((i, j));
     }
 }
 
@@ -110,9 +133,9 @@ impl History {
     /// Takes an [`AbsorbRule`] rather than a [`Mode`] so the update can run
     /// in place on the same history the step's `Mode` borrowed (a `Mode`
     /// holds `&History`, which would otherwise force a defensive clone of
-    /// all four history vectors on every time step).
-    pub fn absorb(&mut self, nl: &Netlist, x: &[f64], rule: AbsorbRule) {
-        let branch = nl.branch_indices();
+    /// all four history vectors on every time step). `branch` is the
+    /// netlist's [`Netlist::branch_indices`] table, hoisted by the caller.
+    pub fn absorb(&mut self, nl: &Netlist, branch: &[Option<usize>], x: &[f64], rule: AbsorbRule) {
         let nn = nl.node_count() - 1;
         for (k, e) in nl.elements().iter().enumerate() {
             match e {
@@ -184,13 +207,17 @@ pub(crate) fn volt(x: &[f64], n: NodeId) -> f64 {
 }
 
 /// Builds the linearized MNA system `A·x_new = b` around the current
-/// iterate `x`.
+/// iterate `x`. `branch` is the netlist's [`Netlist::branch_indices`]
+/// table, hoisted by the caller.
 ///
-/// Generic over the [`StampTarget`] so the dense and sparse solver paths
-/// share these stamp formulas verbatim; with `T = Matrix` the generated
-/// code performs exactly the historical dense stamping.
+/// Generic over the [`StampTarget`], so every solver path shares these
+/// stamp formulas verbatim. Each matrix cell and each RHS entry receives
+/// its contributions in element order whatever the target, so the RHS
+/// stamped beside `()` is bit-identical to the one stamped beside a
+/// matrix.
 pub(crate) fn build_system<T: StampTarget>(
     nl: &Netlist,
+    branch: &[Option<usize>],
     x: &[f64],
     mode: &Mode<'_>,
     a: &mut T,
@@ -199,7 +226,6 @@ pub(crate) fn build_system<T: StampTarget>(
     a.clear();
     b.iter_mut().for_each(|v| *v = 0.0);
     let nn = nl.node_count() - 1;
-    let branch = nl.branch_indices();
 
     // Row/column index of a node (None for ground).
     let idx = |n: NodeId| -> Option<usize> { (!n.is_ground()).then(|| n.index() - 1) };
@@ -412,224 +438,6 @@ pub(crate) fn build_system<T: StampTarget>(
     }
 }
 
-/// Stamps the matrix half of a **fully linear** netlist (every element's
-/// `A` entries plus the trailing per-node gmin), without touching the RHS.
-///
-/// For a deck where [`Netlist::is_linear`] holds, this walks the elements
-/// in the same order as [`build_system`] and performs the same stamps into
-/// each matrix cell, so the produced matrix is bit-identical to the one
-/// `build_system` would build — splitting per destination (matrix here,
-/// RHS in [`stamp_linear_rhs`]) cannot change any single cell's
-/// floating-point accumulation order. That equivalence is exactly what
-/// breaks when nonlinear elements interleave with linear ones (their
-/// companion stamps would land in a different order relative to the linear
-/// stamps), which is why the transient fast path only caches this matrix
-/// for linear decks.
-///
-/// The matrix does not depend on `t` or the history, only on the element
-/// values and, through the companion conductances, on `(dt, integrator)` —
-/// so one stamp+factorization serves a whole fixed-step transient.
-///
-/// # Panics
-///
-/// Debug-asserts that the netlist is linear.
-pub(crate) fn stamp_linear_matrix<T: StampTarget>(nl: &Netlist, mode: &Mode<'_>, a: &mut T) {
-    debug_assert!(nl.is_linear(), "linear stamp on a nonlinear deck");
-    a.clear();
-    let nn = nl.node_count() - 1;
-    let branch = nl.branch_indices();
-    let idx = |n: NodeId| -> Option<usize> { (!n.is_ground()).then(|| n.index() - 1) };
-    let stamp_g = |a: &mut T, na: NodeId, nb: NodeId, g: f64| {
-        if let Some(i) = idx(na) {
-            a.add(i, i, g);
-            if let Some(j) = idx(nb) {
-                a.add(i, j, -g);
-            }
-        }
-        if let Some(i) = idx(nb) {
-            a.add(i, i, g);
-            if let Some(j) = idx(na) {
-                a.add(i, j, -g);
-            }
-        }
-    };
-
-    for (k, e) in nl.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a: na, b: nb, ohms } => stamp_g(a, *na, *nb, 1.0 / ohms),
-            Element::Switch {
-                a: na,
-                b: nb,
-                closed,
-                r_on,
-                r_off,
-            } => {
-                let r = if *closed { *r_on } else { *r_off };
-                stamp_g(a, *na, *nb, 1.0 / r);
-            }
-            Element::Capacitor {
-                a: na,
-                b: nb,
-                farads,
-                ..
-            } => match mode {
-                Mode::Dc { .. } => {}
-                Mode::Transient { dt, integrator, .. } => {
-                    let g = match integrator {
-                        Integrator::BackwardEuler => farads / dt,
-                        Integrator::Trapezoidal => 2.0 * farads / dt,
-                    };
-                    stamp_g(a, *na, *nb, g);
-                }
-            },
-            Element::Inductor {
-                a: na,
-                b: nb,
-                henries,
-                ..
-            } => {
-                let j = nn + branch[k].expect("inductor branch");
-                if let Some(i) = idx(*na) {
-                    a.add(i, j, 1.0);
-                    a.add(j, i, 1.0);
-                }
-                if let Some(i) = idx(*nb) {
-                    a.add(i, j, -1.0);
-                    a.add(j, i, -1.0);
-                }
-                match mode {
-                    Mode::Dc { .. } => a.add(j, j, -1e-9),
-                    Mode::Transient { dt, integrator, .. } => match integrator {
-                        Integrator::BackwardEuler => a.add(j, j, -henries / dt),
-                        Integrator::Trapezoidal => a.add(j, j, -2.0 * henries / dt),
-                    },
-                }
-            }
-            Element::VoltageSource { p, n, .. } => {
-                let j = nn + branch[k].expect("vsource branch");
-                if let Some(i) = idx(*p) {
-                    a.add(i, j, 1.0);
-                    a.add(j, i, 1.0);
-                }
-                if let Some(i) = idx(*n) {
-                    a.add(i, j, -1.0);
-                    a.add(j, i, -1.0);
-                }
-            }
-            Element::CurrentSource { .. } => {}
-            Element::Vccs {
-                out_p,
-                out_n,
-                in_p,
-                in_n,
-                gm,
-            } => {
-                for (out, sign) in [(out_p, 1.0), (out_n, -1.0)] {
-                    if let Some(r) = idx(*out) {
-                        if let Some(c) = idx(*in_p) {
-                            a.add(r, c, sign * gm);
-                        }
-                        if let Some(c) = idx(*in_n) {
-                            a.add(r, c, -sign * gm);
-                        }
-                    }
-                }
-            }
-            Element::Diode { .. } | Element::Mosfet { .. } => {
-                debug_assert!(false, "nonlinear element in linear stamp");
-            }
-        }
-    }
-
-    let gmin = match mode {
-        Mode::Dc { gmin, .. } => *gmin,
-        Mode::Transient { .. } => GMIN,
-    };
-    for i in 0..nn {
-        a.add(i, i, gmin);
-    }
-}
-
-/// Stamps the RHS half of a **fully linear** netlist: source values at the
-/// step's time point and the reactive-element history currents. The
-/// companion to [`stamp_linear_matrix`]; together they reproduce
-/// [`build_system`] bit-for-bit on linear decks. Unlike the matrix, the RHS
-/// changes every step (it carries `t` and the history), so the fast path
-/// restamps it per step while reusing the cached factorization.
-pub(crate) fn stamp_linear_rhs(nl: &Netlist, mode: &Mode<'_>, b: &mut [f64]) {
-    b.iter_mut().for_each(|v| *v = 0.0);
-    let nn = nl.node_count() - 1;
-    let branch = nl.branch_indices();
-    let idx = |n: NodeId| -> Option<usize> { (!n.is_ground()).then(|| n.index() - 1) };
-    let inject = |b: &mut [f64], n: NodeId, i: f64| {
-        if let Some(k) = idx(n) {
-            b[k] += i;
-        }
-    };
-    let (src_scale, t_now) = match mode {
-        Mode::Dc { source_scale, .. } => (*source_scale, 0.0),
-        Mode::Transient { t, .. } => (1.0, *t),
-    };
-
-    for (k, e) in nl.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { .. } | Element::Switch { .. } | Element::Vccs { .. } => {}
-            Element::Capacitor {
-                a: na,
-                b: nb,
-                farads,
-                ..
-            } => {
-                if let Mode::Transient {
-                    dt,
-                    integrator,
-                    history,
-                    ..
-                } = mode
-                {
-                    let i_hist = match integrator {
-                        Integrator::BackwardEuler => farads / dt * history.cap_v[k],
-                        Integrator::Trapezoidal => {
-                            2.0 * farads / dt * history.cap_v[k] + history.cap_i[k]
-                        }
-                    };
-                    inject(b, *na, i_hist);
-                    inject(b, *nb, -i_hist);
-                }
-            }
-            Element::Inductor { henries, .. } => {
-                if let Mode::Transient {
-                    dt,
-                    integrator,
-                    history,
-                    ..
-                } = mode
-                {
-                    let j = nn + branch[k].expect("inductor branch");
-                    b[j] = match integrator {
-                        Integrator::BackwardEuler => -henries / dt * history.ind_i[k],
-                        Integrator::Trapezoidal => {
-                            -2.0 * henries / dt * history.ind_i[k] - history.ind_v[k]
-                        }
-                    };
-                }
-            }
-            Element::VoltageSource { wave, .. } => {
-                let j = nn + branch[k].expect("vsource branch");
-                b[j] = wave.eval(t_now) * src_scale;
-            }
-            Element::CurrentSource { p, n, wave } => {
-                let i = wave.eval(t_now) * src_scale;
-                inject(b, *p, i);
-                inject(b, *n, -i);
-            }
-            Element::Diode { .. } | Element::Mosfet { .. } => {
-                debug_assert!(false, "nonlinear element in linear stamp");
-            }
-        }
-    }
-}
-
 /// Structural occupancy of the DC MNA matrix: which `(row, column)` slots
 /// receive a stamp, ignoring numeric values and the two numerical crutches
 /// (the per-node `gmin` to ground and the tiny series resistance on DC
@@ -792,100 +600,6 @@ pub fn dc_stamp_pattern(nl: &Netlist) -> StampPattern {
         row.dedup();
     }
     StampPattern { size, rows }
-}
-
-/// Structural slot list `(row, col)` of every matrix entry the transient
-/// (and DC) stampers can touch, for building the sparse solver's fixed
-/// pattern.
-///
-/// Unlike [`dc_stamp_pattern`] this is a **superset** pattern: it includes
-/// the per-node `gmin` diagonals, the branch-diagonal companion slots of
-/// inductors, capacitor companion conductances, and the full nonlinear
-/// companion footprints (diode conductance, MOSFET d/s rows x g/d/s/b
-/// columns), so one symbolic analysis serves every Newton iteration and
-/// every time step of a transient run. Duplicates are fine — the sparse
-/// pattern constructor merges them.
-pub(crate) fn transient_stamp_pattern(nl: &Netlist) -> Vec<(usize, usize)> {
-    let nn = nl.node_count() - 1;
-    let branch = nl.branch_indices();
-    let mut entries: Vec<(usize, usize)> = Vec::new();
-    let idx = |n: NodeId| -> Option<usize> { (!n.is_ground()).then(|| n.index() - 1) };
-    let pattern_g = |entries: &mut Vec<(usize, usize)>, na: NodeId, nb: NodeId| {
-        if let Some(i) = idx(na) {
-            entries.push((i, i));
-            if let Some(j) = idx(nb) {
-                entries.push((i, j));
-            }
-        }
-        if let Some(i) = idx(nb) {
-            entries.push((i, i));
-            if let Some(j) = idx(na) {
-                entries.push((i, j));
-            }
-        }
-    };
-    for (k, e) in nl.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a, b, .. }
-            | Element::Switch { a, b, .. }
-            | Element::Capacitor { a, b, .. } => pattern_g(&mut entries, *a, *b),
-            Element::CurrentSource { .. } => {}
-            Element::Inductor { a, b, .. } => {
-                let j = nn + branch[k].expect("inductor branch");
-                // Companion slot: DC series regularization or -L/dt term.
-                entries.push((j, j));
-                for n in [*a, *b] {
-                    if let Some(i) = idx(n) {
-                        entries.push((i, j));
-                        entries.push((j, i));
-                    }
-                }
-            }
-            Element::VoltageSource { p, n, .. } => {
-                let j = nn + branch[k].expect("vsource branch");
-                for node in [*p, *n] {
-                    if let Some(i) = idx(node) {
-                        entries.push((i, j));
-                        entries.push((j, i));
-                    }
-                }
-            }
-            Element::Vccs {
-                out_p,
-                out_n,
-                in_p,
-                in_n,
-                ..
-            } => {
-                for out in [*out_p, *out_n] {
-                    if let Some(r) = idx(out) {
-                        for inp in [*in_p, *in_n] {
-                            if let Some(c) = idx(inp) {
-                                entries.push((r, c));
-                            }
-                        }
-                    }
-                }
-            }
-            Element::Diode { anode, cathode, .. } => pattern_g(&mut entries, *anode, *cathode),
-            Element::Mosfet { d, g, s, b, .. } => {
-                for node in [*d, *s] {
-                    if let Some(r) = idx(node) {
-                        for c_node in [*g, *d, *s, *b] {
-                            if let Some(c) = idx(c_node) {
-                                entries.push((r, c));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // gmin to ground on every node voltage row.
-    for i in 0..nn {
-        entries.push((i, i));
-    }
-    entries
 }
 
 /// Current through an element given a converged solution `x`.

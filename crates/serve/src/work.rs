@@ -55,16 +55,6 @@ pub fn execute(request: &Request) -> Result<Json, String> {
                 ("factor_reuses", Json::from(stats.factor_reuses as i64)),
                 ("used_sparse_path", Json::from(stats.used_sparse_path)),
                 (
-                    "symbolic_analyses",
-                    Json::from(stats.symbolic_analyses as i64),
-                ),
-                ("symbolic_reuses", Json::from(stats.symbolic_reuses as i64)),
-                ("mode_switches", Json::from(stats.mode_switches as i64)),
-                (
-                    "envelope_permille",
-                    Json::from(stats.envelope_permille as i64),
-                ),
-                (
                     "final_time",
                     Json::from(result.times().last().copied().unwrap_or(0.0)),
                 ),

@@ -141,3 +141,35 @@ fn golden_trace_events_carry_completion_indices_in_stream_order() {
     assert_eq!(engine.counters().cache_hits, 1);
     engine.shutdown();
 }
+
+#[test]
+fn execute_renders_the_same_bytes_on_a_repeat_sparse_solve() {
+    // A 97-section RC ladder: 99 MNA unknowns, so `Auto` takes the sparse
+    // path, and no other test in this binary solves this structure. The
+    // first solve computes the symbolic analysis and the second reuses it
+    // from the process-wide cache; the rendered payload must not tell the
+    // two apart, or the result cache could hold bytes a later identical
+    // computation does not reproduce.
+    let mut elements = vec![
+        r#"{"kind":"vsource","p":"n0","n":"gnd","wave":{"type":"dc","value":1.0}}"#.to_string(),
+    ];
+    for k in 1..=97 {
+        elements.push(format!(
+            r#"{{"kind":"resistor","a":"n{}","b":"n{k}","ohms":100.0}}"#,
+            k - 1
+        ));
+        elements.push(format!(
+            r#"{{"kind":"capacitor","a":"n{k}","b":"gnd","farads":1e-10}}"#
+        ));
+    }
+    let line = format!(
+        r#"{{"id":1,"kind":"transient","deck":{{"elements":[{}]}},"dt":1e-9,"t_end":2e-8}}"#,
+        elements.join(",")
+    );
+    let request = lcosc_serve::parse_request(&lcosc_campaign::Json::parse(&line).expect("json"))
+        .expect("valid request");
+    let first = lcosc_serve::execute(&request).expect("solves").render();
+    let second = lcosc_serve::execute(&request).expect("solves").render();
+    assert!(first.contains("\"used_sparse_path\":true"), "{first}");
+    assert_eq!(first, second, "a repeat solve rendered different bytes");
+}

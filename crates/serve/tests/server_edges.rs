@@ -274,3 +274,22 @@ fn recorded_queue_depth_stays_within_queue_plus_clients() {
         "recorded queue depth {worst} exceeds queue {QUEUE_DEPTH} + {CLIENTS} clients"
     );
 }
+
+#[test]
+fn unallocatable_transient_answers_a_typed_error_and_the_engine_lives_on() {
+    // 1e15 steps: its recorded output cannot be allocated. The request is
+    // well-formed, so only the solver can refuse it, and it must do so
+    // with an error response, not by aborting the process.
+    let engine = engine_with(1, 8, Duration::from_secs(30));
+    let huge = engine
+        .submit_line(
+            r#"{"id":1,"kind":"transient","deck":{"elements":[{"kind":"vsource","p":"in","n":"gnd","wave":{"type":"dc","value":1.0}},{"kind":"resistor","a":"in","b":"gnd","ohms":50.0}]},"dt":1e-12,"t_end":1000.0}"#,
+        )
+        .wait();
+    assert!(huge.contains("\"status\":\"error\""), "{huge}");
+    assert!(huge.contains("too large to allocate"), "{huge}");
+    let stats = engine.submit_line(r#"{"id":2,"kind":"stats"}"#).wait();
+    assert!(stats.contains("\"status\":\"ok\""), "{stats}");
+    assert_eq!(engine.counters().by_status[5], 1, "error count");
+    engine.shutdown();
+}

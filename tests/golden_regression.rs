@@ -157,7 +157,7 @@ fn solver_paths_are_stable() {
         let opts = deck.tran_options().expect("fixture has a .tran card");
         (deck.netlist, opts)
     };
-    let forced = |nl: Netlist, dt: f64, t_end: f64, solver: SolverPath| {
+    let with_solver = |nl: Netlist, dt: f64, t_end: f64, solver: SolverPath| {
         let mut opts = TransientOptions::new(dt, t_end);
         opts.solver = solver;
         (nl, opts)
@@ -167,7 +167,7 @@ fn solver_paths_are_stable() {
         ("pulse_switch.sp", spice("pulse_switch.sp")),
         (
             "coupled_tank_network(128)/auto",
-            forced(
+            with_solver(
                 workloads::coupled_tank_network(128),
                 5e-9,
                 2e-6,
@@ -176,15 +176,15 @@ fn solver_paths_are_stable() {
         ),
         (
             "rc_ladder(400)/auto",
-            forced(workloads::rc_ladder(400), 1e-9, 4e-7, SolverPath::Auto),
+            with_solver(workloads::rc_ladder(400), 1e-9, 4e-7, SolverPath::Auto),
         ),
         (
             "diode_divider/sparse",
-            forced(diode_divider(), 1e-8, 4e-6, SolverPath::Sparse),
+            with_solver(diode_divider(), 1e-8, 4e-6, SolverPath::Sparse),
         ),
         (
             "diode_divider/reference",
-            forced(diode_divider(), 1e-8, 4e-6, SolverPath::Reference),
+            with_solver(diode_divider(), 1e-8, 4e-6, SolverPath::Reference),
         ),
     ];
     let mut runs = Vec::new();
