@@ -3,6 +3,8 @@
 //! thread count, scheduling order and per-job runtime.
 
 use lcosc::campaign::{job_seed, Campaign};
+use lcosc::circuit::workloads::coupled_tank_network_scaled;
+use lcosc::circuit::{run_transient, Netlist, TransientOptions, TransientResult};
 use lcosc::core::config::OscillatorConfig;
 use lcosc::dac::{yield_analysis_campaign, DacMismatchParams};
 use lcosc::safety::FmeaReport;
@@ -108,4 +110,69 @@ fn fmea_and_yield_json_byte_identical_threads_1_vs_8() {
         assert_eq!(y1.stats.threads, 1);
         assert_eq!(y8.stats.threads, 8, "{dies}-die yield ran on fewer threads");
     }
+}
+
+/// Bitwise slice equality (stricter than `==`: distinguishes signed zeros,
+/// equates NaN payloads).
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A fleet of value-variant 48-tank sensor networks (96 unknowns, one
+/// shared structural digest) solved as a campaign under `Auto`, which
+/// routes every deck to the sparse path. The waveforms must not depend on
+/// the thread count, and the serial run must show the process-wide
+/// symbolic cache serving the fleet: each job either performs the one
+/// analysis or reuses it.
+#[test]
+fn sparse_fleet_is_bit_identical_threads_1_vs_4() {
+    if std::env::var_os("LCOSC_SOLVER").is_some() {
+        return; // the hatch overrides the path this test pins
+    }
+    const JOBS: usize = 24;
+    let decks: Vec<Netlist> = (0..JOBS)
+        .map(|k| coupled_tank_network_scaled(48, 0.9 + 0.01 * k as f64))
+        .collect();
+    let opts = TransientOptions::new(20e-9, 4e-6);
+    let run = |threads: usize| -> Vec<TransientResult> {
+        Campaign::new("sensor_fleet", decks.clone())
+            .threads(threads)
+            .try_run(|_ctx, d| run_transient(d, &opts))
+            .expect("every fleet deck solves")
+            .results
+    };
+    let serial = run(1);
+    let threaded = run(4);
+    assert_eq!(serial.len(), JOBS);
+    assert_eq!(threaded.len(), JOBS);
+    for (job, (s, t)) in serial.iter().zip(&threaded).enumerate() {
+        assert!(bits_equal(s.times(), t.times()), "job {job}: times");
+        assert!(
+            bits_equal(s.voltages_flat(), t.voltages_flat()),
+            "job {job}: voltages"
+        );
+        assert!(
+            bits_equal(s.currents_flat(), t.currents_flat()),
+            "job {job}: currents"
+        );
+        assert!(
+            s.stats().used_sparse_path,
+            "job {job}: serial run not sparse"
+        );
+        assert!(
+            t.stats().used_sparse_path,
+            "job {job}: threaded run not sparse"
+        );
+    }
+    let analyses: u64 = serial.iter().map(|r| r.stats().symbolic_analyses).sum();
+    let reuses: u64 = serial.iter().map(|r| r.stats().symbolic_reuses).sum();
+    assert_eq!(
+        analyses + reuses,
+        JOBS as u64,
+        "one analysis or reuse per job"
+    );
+    assert!(
+        reuses >= JOBS as u64 - 1,
+        "the symbolic cache served the fleet"
+    );
 }
