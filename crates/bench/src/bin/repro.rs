@@ -1,12 +1,16 @@
 //! `repro` — regenerates every table and figure of the paper in one run
 //! and writes the series as CSV files under `target/repro/`, plus the
-//! campaign JSON reports the regression harness tracks.
+//! deterministic campaign results that CI byte-compares across thread
+//! counts.
 //!
 //! ```text
 //! cargo run --release -p lcosc-bench --bin repro -- [--threads N] \
 //!     [--campaigns-only] [--results-out PATH] [--unchecked] \
-//!     [--trace-out PATH] [--trace-level off|metrics|events] \
-//!     [--bench-out PATH] [--serve-bench] [--serve-bench-out PATH]
+//!     [--trace-out PATH] [--trace-level off|metrics|events]
+//! cargo run --release -p lcosc-bench --bin repro -- --deck PATH
+//! cargo run --release -p lcosc-bench --bin repro -- --spice-smoke DIR
+//! cargo run --release -p lcosc-bench --bin repro -- --fuzz-smoke \
+//!     [--fuzz-seed S] [--fuzz-cases N] [--fuzz-out PATH]
 //! ```
 //!
 //! Run `repro --help` for the full flag reference (parsing lives in
@@ -30,20 +34,19 @@
 //!   `PATH.timing.jsonl` and aggregate metrics in `PATH.metrics.json`. At
 //!   `--trace-level metrics` `PATH` receives only the (golden) metrics
 //!   JSON, timing in `PATH.timing.json`.
-//! - `--bench-out PATH` runs the deterministic transient-solver benchmark
-//!   (fast path vs. `LCOSC_SOLVER=reference` path, bit-identity enforced)
-//!   and writes the wall-clock/speedup/solver-counter report to `PATH`
-//!   (e.g. `BENCH_PR4.json` — the perf regression trajectory).
-//! - `--serve-bench` runs the `lcosc-serve` loopback load driver (64 mixed
-//!   requests, 1-thread vs 4-thread servers byte-compared, cold vs warmed
-//!   cache) and writes the report to `--serve-bench-out` (default
-//!   `BENCH_PR5.json`).
+//! - `--deck`, `--spice-smoke` and `--fuzz-smoke` answer one question
+//!   about `.sp` input (does this deck lint and simulate? do the fixtures
+//!   answer the same through both request spellings? does the fuzzer find
+//!   a panic?) and exit before any campaign runs.
+//!
+//! `repro` prints campaign wall-clock but gates on no timing. The
+//! repository benchmark is `perfbench/` (declared in `BENCHMARK.json`);
+//! the Criterion benches under `crates/bench/benches/` time the figure
+//! generators.
 
-use lcosc_bench::cli::{parse_args, render_bench_list, Args, Cli, HELP};
+use lcosc_bench::cli::{parse_args, Args, Cli, HELP};
 use lcosc_bench::csv::write_csv;
-use lcosc_bench::{
-    ablation, figures, multirate_bench, prove_bench, serve_bench, sparse_bench, spice_smoke,
-};
+use lcosc_bench::{ablation, figures, spice_smoke};
 use lcosc_campaign::{CampaignStats, Json};
 use lcosc_core::{ClosedLoopSim, OscillatorConfig};
 use lcosc_dac::{multiplication_factor, relative_step, Code, DacMismatchParams};
@@ -239,10 +242,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             print!("{HELP}");
             return Ok(());
         }
-        Cli::BenchList => {
-            print!("{}", render_bench_list());
-            return Ok(());
-        }
         Cli::Run(args) => *args,
     };
     // The `.sp` early-exit modes run before any campaign machinery: they
@@ -287,8 +286,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         traced_demo(&tracer)?;
     }
 
-    // The tracked campaigns always run: their JSON reports are the
-    // regression surface BENCH_*.json tracks.
+    // The tracked campaigns always run: their results file is the surface
+    // CI byte-compares across thread counts.
     let (results, tracked) = run_campaigns(args.threads, &tracer);
     write_text(&args.results_out, &results.render_pretty(2))?;
     let stats = Json::obj([
@@ -322,187 +321,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.stats.wall.as_secs_f64() * 1e3,
         );
     }
-    // Solver benchmark: fast vs. reference path, bit-identity enforced.
-    if let Some(bench_out) = &args.bench_out {
-        let report = lcosc_bench::solver_bench::run_solver_bench(&tracer)?;
-        let campaigns: Vec<(String, Option<f64>)> = tracked
-            .iter()
-            .map(|t| {
-                let speedup = t.serial_wall.map(|serial| {
-                    let par = t.stats.wall.as_secs_f64();
-                    if par > 0.0 {
-                        serial.as_secs_f64() / par
-                    } else {
-                        1.0
-                    }
-                });
-                (t.stats.name.clone(), speedup)
-            })
-            .collect();
-        write_text(bench_out, &report.to_json(&campaigns).render_pretty(2))?;
-        println!("solver bench -> {}", bench_out.display());
-        for c in &report.cases {
-            println!(
-                "bench {}: {:.1} ms fast vs {:.1} ms reference ({:.2}x, {} unknowns, {} factorization(s), {} reuse(s)){}",
-                c.name,
-                c.fast_wall.as_secs_f64() * 1e3,
-                c.reference_wall.as_secs_f64() * 1e3,
-                c.speedup(),
-                c.unknowns,
-                c.fast_stats.factorizations,
-                c.fast_stats.factor_reuses,
-                if c.headline { "  [headline]" } else { "" },
-            );
-        }
-        println!(
-            "cycle-fidelity speedup: {:.2}x",
-            report.cycle_fidelity_speedup()
-        );
-    }
-
-    // Serving-layer load driver: loopback servers at 1 and 4 worker
-    // threads, byte-compared; cold vs warmed-cache throughput tracked.
-    if args.serve_bench {
-        let report = serve_bench::run_serve_bench()?;
-        write_text(&args.serve_bench_out, &report.to_json().render_pretty(2))?;
-        println!("serve bench -> {}", args.serve_bench_out.display());
-        for s in &report.servers {
-            println!(
-                "serve {} thread(s): cold {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms), cached {:.0} req/s ({:.1}x, hit rate {:.0} %)",
-                s.threads,
-                s.cold.rps,
-                s.cold.p50.as_secs_f64() * 1e3,
-                s.cold.p99.as_secs_f64() * 1e3,
-                s.warm.rps,
-                s.warm_speedup(),
-                100.0 * s.cache_hit_rate,
-            );
-        }
-    }
-
-    // Static safety prover: min-of-3 wall-clock per preset with the
-    // verdict byte-compared across laps.
-    if args.prove_bench {
-        let report = prove_bench::run_prove_bench()?;
-        write_text(&args.prove_bench_out, &report.to_json().render_pretty(2))?;
-        println!("prove bench -> {}", args.prove_bench_out.display());
-        for l in &report.laps {
-            println!(
-                "prove {}: {:.1} ms, {} obligations proved, {} reachable states / {} transitions",
-                l.preset,
-                l.wall.as_secs_f64() * 1e3,
-                l.obligations,
-                l.reach_states,
-                l.reach_transitions,
-            );
-        }
-    }
-
-    // Sparse MNA solver: 1000-node ladder dense-vs-sparse gate, crossover
-    // table with the Auto-policy proof, 1-vs-4-thread sparse campaign
-    // byte-compare and the dense/sparse differential.
-    if args.sparse_bench {
-        let report = sparse_bench::run_sparse_bench(&tracer)?;
-        write_text(&args.sparse_bench_out, &report.to_json().render_pretty(2))?;
-        println!("sparse bench -> {}", args.sparse_bench_out.display());
-        for p in &report.crossover {
-            println!(
-                "sparse crossover {} unknowns: dense {:.2} ms vs sparse {:.2} ms ({:.2}x, auto picked {})",
-                p.unknowns,
-                p.dense_wall.as_secs_f64() * 1e3,
-                p.sparse_wall.as_secs_f64() * 1e3,
-                p.speedup(),
-                if p.auto_used_sparse { "sparse" } else { "dense" },
-            );
-        }
-        println!(
-            "sparse fleet: {} jobs, {} unknowns, {} symbolic analysis(es) + {} reuse(s), bit-identical across 1 and 4 threads",
-            report.fleet.jobs,
-            report.fleet.unknowns,
-            report.fleet.symbolic_analyses,
-            report.fleet.symbolic_reuses,
-        );
-        if report.solver_hatch {
-            println!("sparse bench: LCOSC_SOLVER hatch active, gate skipped");
-        } else if report.gate_met() {
-            println!(
-                "sparse bench: ladder speedup {:.2}x ({} unknowns), gate >= {:.0}x met, auto policy proven",
-                report.ladder.speedup(),
-                report.ladder.unknowns,
-                sparse_bench::GATE_MIN_SPEEDUP,
-            );
-        } else {
-            return Err(format!(
-                "sparse bench: ladder speedup {:.2}x (policy ok: {}, cache ok: {}) misses the {:.0}x gate",
-                report.ladder.speedup(),
-                report.auto_policy_ok,
-                report.fleet.cache_effective(),
-                sparse_bench::GATE_MIN_SPEEDUP,
-            )
-            .into());
-        }
-    }
-
-    // Multi-rate engine: the 11-fault mission catalog at cycle vs
-    // multi-rate fidelity, outcome identity enforced per fault, with the
-    // >= 10x mission-profile speedup gate (unless the fidelity hatch
-    // pinned both arms to one engine).
-    if args.multirate_bench {
-        let report = multirate_bench::run_multirate_bench(&tracer)?;
-        write_text(
-            &args.multirate_bench_out,
-            &report.to_json().render_pretty(2),
-        )?;
-        println!("multirate bench -> {}", args.multirate_bench_out.display());
-        for m in &report.missions {
-            println!(
-                "multirate {}: cycle {:.1} ms vs multi-rate {:.1} ms ({:.2}x), final code {}, {}",
-                m.name,
-                m.cycle_wall.as_secs_f64() * 1e3,
-                m.multirate_wall.as_secs_f64() * 1e3,
-                m.speedup(),
-                m.outcome.final_code,
-                if m.outcome.detected {
-                    "detected"
-                } else {
-                    "regulated"
-                },
-            );
-        }
-        println!(
-            "multirate hand-off: {} switches, {} envelope / {} cycle ticks ({:.1} % envelope), {} bisection(s)",
-            report.mode_stats.mode_switches,
-            report.mode_stats.envelope_ticks,
-            report.mode_stats.cycle_ticks,
-            report.mode_stats.envelope_permille() as f64 / 10.0,
-            report.mode_stats.bisections,
-        );
-        println!(
-            "multirate catalog: cycle {:.2} s vs multi-rate {:.2} s ({:.2}x, informational)",
-            report.cycle_total().as_secs_f64(),
-            report.multirate_total().as_secs_f64(),
-            report.catalog_speedup(),
-        );
-        if report.fidelity_hatch {
-            println!("multirate bench: LCOSC_FIDELITY hatch active, gate skipped");
-        } else if report.gate_met() {
-            println!(
-                "multirate bench: headline ({}) speedup {:.2}x, gate >= {:.0}x met, outcomes identical",
-                multirate_bench::HEADLINE_FAULT,
-                report.speedup(),
-                multirate_bench::GATE_MIN_SPEEDUP,
-            );
-        } else {
-            return Err(format!(
-                "multirate bench: headline ({}) speedup {:.2}x misses the {:.0}x gate",
-                multirate_bench::HEADLINE_FAULT,
-                report.speedup(),
-                multirate_bench::GATE_MIN_SPEEDUP,
-            )
-            .into());
-        }
-    }
-
     if let (Some(capture), Some(path)) = (&capture, &args.trace_out) {
         capture.write(path, args.trace_level)?;
     }

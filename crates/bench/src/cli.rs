@@ -6,7 +6,6 @@
 
 use lcosc_trace::TraceLevel;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The `repro --help` text. Every accepted flag is listed here; the unit
@@ -26,30 +25,6 @@ OPTIONS:
                          (default target/repro/campaign_results.json)
     --trace-out PATH     record the instrumented demo + campaign trace here
     --trace-level LEVEL  off | metrics | events (default events)
-    --bench-out PATH     run the transient-solver benchmark, write report
-    --serve-bench        run the lcosc-serve loopback load driver
-                         (cold vs cached throughput, determinism check)
-    --serve-bench-out PATH
-                         serve benchmark report path (default BENCH_PR5.json)
-    --prove-bench        run the static safety prover benchmark
-                         (min-of-3 laps per preset, verdict byte-compare)
-    --prove-bench-out PATH
-                         prover benchmark report path (default BENCH_PR6.json)
-    --sparse-bench       run the sparse MNA solver benchmark
-                         (1000-node ladder dense-vs-sparse >=5x gate,
-                         crossover table, Auto-policy proof, 1-vs-4-thread
-                         sparse campaign byte-compare)
-    --sparse-bench-out PATH
-                         sparse benchmark report path (default BENCH_PR8.json)
-    --multirate-bench    run the multi-rate engine benchmark
-                         (11-fault mission catalog, cycle vs multi-rate
-                         wall-clock, >=10x gate at identical verdicts,
-                         trip latencies and final codes)
-    --multirate-bench-out PATH
-                         multi-rate benchmark report path
-                         (default BENCH_PR9.json)
-    --bench-list         list every benchmark, its flag and its report
-                         file, then exit
     --fuzz-smoke         run the deterministic three-surface fuzz campaign
                          (.sp text, deck JSON, serve protocol lines)
                          against a live engine, then exit; any panic,
@@ -69,68 +44,6 @@ OPTIONS:
     --help               print this help
 ";
 
-/// One entry of the `repro` benchmark registry: the flag that enables the
-/// benchmark, the report file it produces and what it measures. Every
-/// `BENCH_PR*.json` producer must be listed here — `--bench-list` renders
-/// this table, and the unit tests fail on any drift between the registry,
-/// the parser and the help text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenchInfo {
-    /// Short name of the benchmark.
-    pub name: &'static str,
-    /// The flag that enables it (`--bench-out` doubles as the report
-    /// path for the original solver bench; every later bench pairs a
-    /// boolean flag with a `*-out` path flag).
-    pub flag: &'static str,
-    /// The tracked report file.
-    pub report: &'static str,
-    /// One-line description.
-    pub what: &'static str,
-}
-
-/// Every benchmark `repro` can run, in PR order.
-pub const BENCHES: &[BenchInfo] = &[
-    BenchInfo {
-        name: "solver",
-        flag: "--bench-out",
-        report: "BENCH_PR4.json",
-        what: "transient solver fast vs reference path, bit-identity enforced",
-    },
-    BenchInfo {
-        name: "serve",
-        flag: "--serve-bench",
-        report: "BENCH_PR5.json",
-        what: "lcosc-serve loopback load driver, cold vs cached throughput",
-    },
-    BenchInfo {
-        name: "prove",
-        flag: "--prove-bench",
-        report: "BENCH_PR6.json",
-        what: "static safety prover laps, verdict byte-compare",
-    },
-    BenchInfo {
-        name: "sparse",
-        flag: "--sparse-bench",
-        report: "BENCH_PR8.json",
-        what: "sparse MNA ladder vs dense, >=5x gate, Auto-policy proof",
-    },
-    BenchInfo {
-        name: "multirate",
-        flag: "--multirate-bench",
-        report: "BENCH_PR9.json",
-        what: "multi-rate mission catalog vs cycle fidelity, >=10x gate",
-    },
-];
-
-/// Renders the `--bench-list` table.
-pub fn render_bench_list() -> String {
-    let mut s = String::from("repro benchmarks (flag -> report):\n");
-    for b in BENCHES {
-        let _ = writeln!(s, "  {:<18} {:<16} {}", b.flag, b.report, b.what);
-    }
-    s
-}
-
 /// Parsed `repro` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
@@ -146,24 +59,6 @@ pub struct Args {
     pub trace_out: Option<PathBuf>,
     /// Trace verbosity.
     pub trace_level: TraceLevel,
-    /// Solver benchmark report path, when the benchmark is requested.
-    pub bench_out: Option<PathBuf>,
-    /// Run the serving-layer load driver.
-    pub serve_bench: bool,
-    /// Serve benchmark report path.
-    pub serve_bench_out: PathBuf,
-    /// Run the static safety prover benchmark.
-    pub prove_bench: bool,
-    /// Prover benchmark report path.
-    pub prove_bench_out: PathBuf,
-    /// Run the sparse MNA solver benchmark.
-    pub sparse_bench: bool,
-    /// Sparse benchmark report path.
-    pub sparse_bench_out: PathBuf,
-    /// Run the multi-rate engine benchmark.
-    pub multirate_bench: bool,
-    /// Multi-rate benchmark report path.
-    pub multirate_bench_out: PathBuf,
     /// Run the deterministic fuzz campaign and exit.
     pub fuzz_smoke: bool,
     /// Fuzz campaign seed.
@@ -188,15 +83,6 @@ impl Default for Args {
             results_out: PathBuf::from("target/repro/campaign_results.json"),
             trace_out: None,
             trace_level: TraceLevel::Events,
-            bench_out: None,
-            serve_bench: false,
-            serve_bench_out: PathBuf::from("BENCH_PR5.json"),
-            prove_bench: false,
-            prove_bench_out: PathBuf::from("BENCH_PR6.json"),
-            sparse_bench: false,
-            sparse_bench_out: PathBuf::from("BENCH_PR8.json"),
-            multirate_bench: false,
-            multirate_bench_out: PathBuf::from("BENCH_PR9.json"),
             fuzz_smoke: false,
             fuzz_seed: 0x1c05_c0de,
             fuzz_cases: 3500,
@@ -212,8 +98,6 @@ impl Default for Args {
 pub enum Cli {
     /// `--help` was requested.
     Help,
-    /// `--bench-list` was requested.
-    BenchList,
     /// Normal run.
     Run(Box<Args>),
 }
@@ -268,13 +152,8 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => return Ok(Cli::Help),
-            "--bench-list" => return Ok(Cli::BenchList),
             "--campaigns-only" => parsed.campaigns_only = true,
             "--unchecked" => parsed.unchecked = true,
-            "--serve-bench" => parsed.serve_bench = true,
-            "--prove-bench" => parsed.prove_bench = true,
-            "--sparse-bench" => parsed.sparse_bench = true,
-            "--multirate-bench" => parsed.multirate_bench = true,
             "--threads" => {
                 let v = next_value(&mut args, "--threads")?;
                 parsed.threads = v.parse().map_err(|_| CliError::BadValue {
@@ -294,23 +173,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
                     flag: "--trace-level",
                     message: format!("bad trace level {v:?} (off|metrics|events)"),
                 })?;
-            }
-            "--bench-out" => {
-                parsed.bench_out = Some(PathBuf::from(next_value(&mut args, "--bench-out")?));
-            }
-            "--serve-bench-out" => {
-                parsed.serve_bench_out = PathBuf::from(next_value(&mut args, "--serve-bench-out")?);
-            }
-            "--prove-bench-out" => {
-                parsed.prove_bench_out = PathBuf::from(next_value(&mut args, "--prove-bench-out")?);
-            }
-            "--sparse-bench-out" => {
-                parsed.sparse_bench_out =
-                    PathBuf::from(next_value(&mut args, "--sparse-bench-out")?);
-            }
-            "--multirate-bench-out" => {
-                parsed.multirate_bench_out =
-                    PathBuf::from(next_value(&mut args, "--multirate-bench-out")?);
             }
             "--fuzz-smoke" => parsed.fuzz_smoke = true,
             "--fuzz-seed" => {
@@ -401,20 +263,6 @@ mod tests {
             "t.jsonl",
             "--trace-level",
             "metrics",
-            "--bench-out",
-            "b.json",
-            "--serve-bench",
-            "--serve-bench-out",
-            "s.json",
-            "--prove-bench",
-            "--prove-bench-out",
-            "p.json",
-            "--sparse-bench",
-            "--sparse-bench-out",
-            "sp.json",
-            "--multirate-bench",
-            "--multirate-bench-out",
-            "mr.json",
             "--fuzz-smoke",
             "--fuzz-seed",
             "42",
@@ -432,18 +280,10 @@ mod tests {
             panic!("expected a run, got {cli:?}");
         };
         assert_eq!(args.threads, 4);
-        assert!(args.campaigns_only && args.unchecked && args.serve_bench);
-        assert!(args.prove_bench);
-        assert!(args.sparse_bench);
-        assert!(args.multirate_bench);
+        assert!(args.campaigns_only && args.unchecked);
         assert_eq!(args.results_out, PathBuf::from("r.json"));
         assert_eq!(args.trace_out, Some(PathBuf::from("t.jsonl")));
         assert_eq!(args.trace_level, TraceLevel::Metrics);
-        assert_eq!(args.bench_out, Some(PathBuf::from("b.json")));
-        assert_eq!(args.serve_bench_out, PathBuf::from("s.json"));
-        assert_eq!(args.prove_bench_out, PathBuf::from("p.json"));
-        assert_eq!(args.sparse_bench_out, PathBuf::from("sp.json"));
-        assert_eq!(args.multirate_bench_out, PathBuf::from("mr.json"));
         assert!(args.fuzz_smoke);
         assert_eq!(args.fuzz_seed, 42);
         assert_eq!(args.fuzz_cases, 100);
@@ -469,16 +309,6 @@ mod tests {
             "--results-out",
             "--trace-out",
             "--trace-level",
-            "--bench-out",
-            "--serve-bench",
-            "--serve-bench-out",
-            "--prove-bench",
-            "--prove-bench-out",
-            "--sparse-bench",
-            "--sparse-bench-out",
-            "--multirate-bench",
-            "--multirate-bench-out",
-            "--bench-list",
             "--fuzz-smoke",
             "--fuzz-seed",
             "--fuzz-cases",
@@ -488,79 +318,6 @@ mod tests {
             "--help",
         ] {
             assert!(HELP.contains(flag), "help text is missing {flag}");
-        }
-    }
-
-    #[test]
-    fn bench_list_flag_short_circuits() {
-        assert_eq!(parse(&["--bench-list"]), Ok(Cli::BenchList));
-        assert_eq!(parse(&["--bench-list", "--warp-speed"]), Ok(Cli::BenchList));
-        let listing = render_bench_list();
-        for b in BENCHES {
-            assert!(listing.contains(b.flag), "listing is missing {}", b.flag);
-            assert!(
-                listing.contains(b.report),
-                "listing is missing {}",
-                b.report
-            );
-        }
-    }
-
-    #[test]
-    fn registry_covers_every_bench_producer() {
-        // Drift net for the growing `--*-bench` family. (a) Every
-        // registry flag is accepted by the parser and documented in HELP.
-        for b in BENCHES {
-            assert!(
-                parse(&[b.flag, "x.json"]).is_ok() || parse(&[b.flag]).is_ok(),
-                "parser rejects registry flag {}",
-                b.flag
-            );
-            assert!(
-                HELP.contains(b.flag),
-                "help is missing registry flag {}",
-                b.flag
-            );
-        }
-        // (b) Every boolean `--*-bench` flag the parser knows appears in
-        // the registry: harvest candidates from HELP, the single source
-        // the parser tests are already synced against.
-        let harvested: Vec<&str> = HELP
-            .split_whitespace()
-            .filter(|w| w.starts_with("--") && w.ends_with("-bench"))
-            .collect();
-        for flag in harvested {
-            assert!(
-                BENCHES.iter().any(|b| b.flag == flag),
-                "bench flag {flag} is not in the BENCHES registry"
-            );
-        }
-        // (c) Every BENCH_PR*.json report named anywhere in HELP belongs
-        // to a registered producer, and the registry stays in PR order
-        // with distinct reports.
-        for w in HELP.split(|c: char| c.is_whitespace() || c == '(' || c == ')') {
-            if w.starts_with("BENCH_PR") {
-                assert!(
-                    BENCHES.iter().any(|b| b.report == w),
-                    "report {w} in HELP has no registry entry"
-                );
-            }
-        }
-        let reports: Vec<&str> = BENCHES.iter().map(|b| b.report).collect();
-        let mut sorted = reports.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), reports.len(), "duplicate report in registry");
-        // (d) Registry defaults match the Args defaults.
-        let d = Args::default();
-        for (report, path) in [
-            ("BENCH_PR5.json", &d.serve_bench_out),
-            ("BENCH_PR6.json", &d.prove_bench_out),
-            ("BENCH_PR8.json", &d.sparse_bench_out),
-            ("BENCH_PR9.json", &d.multirate_bench_out),
-        ] {
-            assert!(BENCHES.iter().any(|b| b.report == report));
-            assert_eq!(path, &PathBuf::from(report), "default drifted for {report}");
         }
     }
 }

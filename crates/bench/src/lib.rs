@@ -10,11 +10,6 @@ pub mod ablation;
 pub mod cli;
 pub mod csv;
 pub mod figures;
-pub mod multirate_bench;
-pub mod prove_bench;
-pub mod serve_bench;
-pub mod solver_bench;
-pub mod sparse_bench;
 pub mod spice_smoke;
 
 pub use figures::*;

@@ -26,8 +26,9 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Whether `LCOSC_SOLVER` is overriding path selection, which would make
-/// the `opts.solver`-based forcing in this suite meaningless.
+/// Whether `LCOSC_SOLVER` is overriding path selection. Both runs of a
+/// comparison then take the forced path, so the comparisons still hold;
+/// only the assertions about which path ran, and its counters, do not.
 fn hatch_forced() -> bool {
     std::env::var_os("LCOSC_SOLVER").is_some()
 }
@@ -88,17 +89,16 @@ fn decks() -> Vec<(&'static str, Netlist, TransientOptions)> {
 
 #[test]
 fn sparse_agrees_with_dense_within_tolerance_on_all_decks() {
-    if hatch_forced() {
-        return;
-    }
     for (label, nl, opts) in decks() {
         for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
             let mut o = opts;
             o.integrator = integrator;
             let dense = run_with(&nl, &o, SolverPath::Dense);
             let sparse = run_with(&nl, &o, SolverPath::Sparse);
-            assert!(sparse.stats().used_sparse_path, "{label}: path not taken");
-            assert!(!dense.stats().used_sparse_path);
+            if !hatch_forced() {
+                assert!(sparse.stats().used_sparse_path, "{label}: path not taken");
+                assert!(!dense.stats().used_sparse_path);
+            }
             assert_close(&sparse, &dense, label);
         }
     }
@@ -106,9 +106,6 @@ fn sparse_agrees_with_dense_within_tolerance_on_all_decks() {
 
 #[test]
 fn sparse_results_are_bit_identical_across_repeat_runs() {
-    if hatch_forced() {
-        return;
-    }
     for (label, nl, opts) in decks() {
         let first = run_with(&nl, &opts, SolverPath::Sparse);
         for _ in 0..2 {
@@ -120,29 +117,23 @@ fn sparse_results_are_bit_identical_across_repeat_runs() {
 
 #[test]
 fn auto_matches_forced_sparse_bit_for_bit_above_threshold() {
-    if hatch_forced() {
-        return;
-    }
     let nl = rc_ladder(SPARSE_MIN_UNKNOWNS); // unknowns = sections + 2
     assert!(nl.unknown_count() >= SPARSE_MIN_UNKNOWNS);
     let opts = TransientOptions::new(2e-9, 200e-9);
     let auto = run_with(&nl, &opts, SolverPath::Auto);
     let forced = run_with(&nl, &opts, SolverPath::Sparse);
-    assert!(auto.stats().used_sparse_path);
+    assert!(auto.stats().used_sparse_path || hatch_forced());
     assert_bits_identical(&auto, &forced, "auto-vs-forced-sparse");
 }
 
 #[test]
 fn auto_stays_dense_below_threshold_and_matches_dense_exactly() {
-    if hatch_forced() {
-        return;
-    }
     let nl = rc_ladder(8);
     assert!(nl.unknown_count() < SPARSE_MIN_UNKNOWNS);
     let opts = TransientOptions::new(2e-9, 200e-9);
     let auto = run_with(&nl, &opts, SolverPath::Auto);
     let dense = run_with(&nl, &opts, SolverPath::Dense);
-    assert!(!auto.stats().used_sparse_path);
+    assert!(!auto.stats().used_sparse_path || hatch_forced());
     assert_bits_identical(&auto, &dense, "auto-vs-forced-dense");
 }
 

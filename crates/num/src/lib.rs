@@ -46,9 +46,7 @@ pub use fft::{dominant_frequency, power_spectrum, Complex};
 pub use filter::{Biquad, EnvelopeFollower, MovingRms, OnePoleLowPass};
 pub use interp::PwlTable;
 pub use linalg::{pivot_is_singular, Matrix, SINGULAR_PIVOT_THRESHOLD};
-pub use ode::{
-    rk4_step, rkf45_adaptive, trapezoidal_step, OdeSystem, StepController, StepDecision,
-};
+pub use ode::{rk4_step, OdeSystem};
 pub use roots::{bisect, brent, newton};
 pub use sparse::{SparseLu, SparseMatrix, SparseSymbolic};
 pub use units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};
@@ -68,15 +66,6 @@ pub enum NumError {
         /// Residual (method-specific norm) at the last iterate.
         residual: f64,
     },
-    /// An adaptive step controller could not satisfy its error tolerance
-    /// even at the minimum permitted step size (stiff or discontinuous
-    /// dynamics, or derivatives that turn non-finite mid-run).
-    StepStall {
-        /// Integration time at which the controller stalled.
-        t: f64,
-        /// The minimum step size that still failed the error test.
-        h_min: f64,
-    },
     /// Input arguments were invalid (empty slice, inverted bracket, NaN, ...).
     InvalidInput(&'static str),
 }
@@ -93,10 +82,6 @@ impl std::fmt::Display for NumError {
             } => write!(
                 f,
                 "no convergence after {iterations} iterations (residual {residual:.3e})"
-            ),
-            NumError::StepStall { t, h_min } => write!(
-                f,
-                "adaptive step stalled at t = {t:.6e} (error test fails at the minimum step {h_min:.3e})"
             ),
             NumError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
@@ -119,10 +104,6 @@ mod tests {
             NumError::NoConvergence {
                 iterations: 10,
                 residual: 1e-3,
-            },
-            NumError::StepStall {
-                t: 0.5,
-                h_min: 1e-14,
             },
             NumError::InvalidInput("empty slice"),
         ];

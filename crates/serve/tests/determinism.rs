@@ -170,6 +170,10 @@ fn execute_renders_the_same_bytes_on_a_repeat_sparse_solve() {
         .expect("valid request");
     let first = lcosc_serve::execute(&request).expect("solves").render();
     let second = lcosc_serve::execute(&request).expect("solves").render();
-    assert!(first.contains("\"used_sparse_path\":true"), "{first}");
+    // `LCOSC_SOLVER=reference|dense` moves the solve off the sparse path;
+    // the byte compare holds on every path.
+    if !std::env::var("LCOSC_SOLVER").is_ok_and(|v| v == "reference" || v == "dense") {
+        assert!(first.contains("\"used_sparse_path\":true"), "{first}");
+    }
     assert_eq!(first, second, "a repeat solve rendered different bytes");
 }

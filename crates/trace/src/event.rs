@@ -237,33 +237,6 @@ pub enum TraceEvent {
         /// Wall-clock duration of the job, nanoseconds.
         wall_ns: u128,
     },
-    /// Work counters of one transient solve (PR 4 solver fast path).
-    /// Deterministic: pure function of deck, options and solver path.
-    SolverStats {
-        /// Time steps integrated.
-        steps: u64,
-        /// Total Newton iterations across all steps.
-        newton_iterations: u64,
-        /// LU factorizations performed.
-        factorizations: u64,
-        /// Steps that reused a cached factorization.
-        factor_reuses: u64,
-        /// Stepping-machinery heap allocations performed after the first
-        /// time step (0 on the fast path).
-        post_warmup_allocations: u64,
-        /// Sparse symbolic analyses performed (0 on dense paths and on
-        /// sparse runs served by the symbolic cache).
-        symbolic_analyses: u64,
-        /// Sparse runs that reused a cached symbolic analysis.
-        symbolic_reuses: u64,
-        /// Envelope↔cycle fidelity hand-offs performed by the multi-rate
-        /// engine (0 on single-fidelity runs).
-        mode_switches: u64,
-        /// Fraction of simulated time spent in envelope fidelity, in
-        /// permille (integer so the stream stays byte-stable; 0 on
-        /// single-fidelity runs).
-        envelope_permille: u64,
-    },
     /// One request served by the batch simulation service, recorded in
     /// completion-index order. Deterministic: the payload is the request's
     /// content digest and its terminal status, never wall-clock data.
@@ -365,22 +338,6 @@ impl TraceEvent {
                     r#"{{"ev":"campaign_job_timing","index":{index},"wall_ns":{wall_ns}}}"#
                 );
             }
-            TraceEvent::SolverStats {
-                steps,
-                newton_iterations,
-                factorizations,
-                factor_reuses,
-                post_warmup_allocations,
-                symbolic_analyses,
-                symbolic_reuses,
-                mode_switches,
-                envelope_permille,
-            } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"solver_stats","steps":{steps},"newton_iterations":{newton_iterations},"factorizations":{factorizations},"factor_reuses":{factor_reuses},"post_warmup_allocations":{post_warmup_allocations},"symbolic_analyses":{symbolic_analyses},"symbolic_reuses":{symbolic_reuses},"mode_switches":{mode_switches},"envelope_permille":{envelope_permille}}}"#
-                );
-            }
             TraceEvent::ServeRequest {
                 index,
                 kind,
@@ -469,17 +426,6 @@ mod tests {
                 detector: DetectorId::Asymmetry,
             },
             TraceEvent::CampaignJob { index: 0, seed: 9 },
-            TraceEvent::SolverStats {
-                steps: 10,
-                newton_iterations: 11,
-                factorizations: 1,
-                factor_reuses: 9,
-                post_warmup_allocations: 0,
-                symbolic_analyses: 1,
-                symbolic_reuses: 0,
-                mode_switches: 4,
-                envelope_permille: 900,
-            },
             TraceEvent::ServeRequest {
                 index: 0,
                 kind: ServeKind::Scenario,

@@ -113,28 +113,6 @@ pub struct TraceMetrics {
     pub faults_injected: u64,
     /// Campaign jobs completed.
     pub campaign_jobs: u64,
-    /// Transient solves reported via [`TraceEvent::SolverStats`].
-    pub solver_runs: u64,
-    /// Time steps integrated across all reported solves.
-    pub solver_steps: u64,
-    /// Newton iterations across all reported solves.
-    pub solver_newton_iterations: u64,
-    /// LU factorizations across all reported solves.
-    pub solver_factorizations: u64,
-    /// Cached-factorization reuses across all reported solves.
-    pub solver_factor_reuses: u64,
-    /// Post-warm-up allocations across all reported solves (0 when every
-    /// solve took the fast path).
-    pub solver_post_warmup_allocations: u64,
-    /// Sparse symbolic analyses performed across all reported solves.
-    pub solver_symbolic_analyses: u64,
-    /// Cached-symbolic-analysis reuses across all reported solves.
-    pub solver_symbolic_reuses: u64,
-    /// Envelope↔cycle fidelity hand-offs across all reported solves.
-    pub solver_mode_switches: u64,
-    /// Sum of per-solve envelope-time permille values (divide by
-    /// [`TraceMetrics::solver_runs`] for the mean envelope fraction).
-    pub solver_envelope_permille: u64,
     /// Requests served by the batch service, by terminal status: ok,
     /// bad_request, timeout, overloaded, shutting_down, error (in the
     /// order of [`crate::event::ServeStatus`]).
@@ -203,28 +181,6 @@ impl TraceMetrics {
                 self.job_wall_ns
                     .record(u64::try_from(*wall_ns).unwrap_or(u64::MAX));
             }
-            TraceEvent::SolverStats {
-                steps,
-                newton_iterations,
-                factorizations,
-                factor_reuses,
-                post_warmup_allocations,
-                symbolic_analyses,
-                symbolic_reuses,
-                mode_switches,
-                envelope_permille,
-            } => {
-                self.solver_runs += 1;
-                self.solver_steps += steps;
-                self.solver_newton_iterations += newton_iterations;
-                self.solver_factorizations += factorizations;
-                self.solver_factor_reuses += factor_reuses;
-                self.solver_post_warmup_allocations += post_warmup_allocations;
-                self.solver_symbolic_analyses += symbolic_analyses;
-                self.solver_symbolic_reuses += symbolic_reuses;
-                self.solver_mode_switches += mode_switches;
-                self.solver_envelope_permille += envelope_permille;
-            }
             TraceEvent::ServeRequest { status, .. } => {
                 self.serve_requests[serve_status_index(*status)] += 1;
             }
@@ -280,20 +236,6 @@ impl TraceMetrics {
             self.startup_phases,
             self.faults_injected,
             self.campaign_jobs
-        );
-        let _ = write!(
-            s,
-            r#","solver":{{"runs":{},"steps":{},"newton_iterations":{},"factorizations":{},"factor_reuses":{},"post_warmup_allocations":{},"symbolic_analyses":{},"symbolic_reuses":{},"mode_switches":{},"envelope_permille":{}}}"#,
-            self.solver_runs,
-            self.solver_steps,
-            self.solver_newton_iterations,
-            self.solver_factorizations,
-            self.solver_factor_reuses,
-            self.solver_post_warmup_allocations,
-            self.solver_symbolic_analyses,
-            self.solver_symbolic_reuses,
-            self.solver_mode_switches,
-            self.solver_envelope_permille
         );
         let _ = write!(
             s,
@@ -471,36 +413,5 @@ mod tests {
         assert!(timing.contains("serve_queue_depth"));
         assert_eq!(m.serve_wall_ns.count(), 1);
         assert_eq!(m.serve_queue_depth.max(), 3);
-    }
-
-    #[test]
-    fn solver_stats_fold_into_counters() {
-        let mut m = TraceMetrics::default();
-        for _ in 0..2 {
-            m.fold(&TraceEvent::SolverStats {
-                steps: 100,
-                newton_iterations: 110,
-                factorizations: 1,
-                factor_reuses: 99,
-                post_warmup_allocations: 0,
-                symbolic_analyses: 1,
-                symbolic_reuses: 0,
-                mode_switches: 6,
-                envelope_permille: 950,
-            });
-        }
-        assert_eq!(m.solver_runs, 2);
-        assert_eq!(m.solver_steps, 200);
-        assert_eq!(m.solver_newton_iterations, 220);
-        assert_eq!(m.solver_factorizations, 2);
-        assert_eq!(m.solver_factor_reuses, 198);
-        assert_eq!(m.solver_post_warmup_allocations, 0);
-        assert_eq!(m.solver_symbolic_analyses, 2);
-        assert_eq!(m.solver_symbolic_reuses, 0);
-        assert_eq!(m.solver_mode_switches, 12);
-        assert_eq!(m.solver_envelope_permille, 1900);
-        assert!(m.render_json().contains(
-            r#""solver":{"runs":2,"steps":200,"newton_iterations":220,"factorizations":2,"factor_reuses":198,"post_warmup_allocations":0,"symbolic_analyses":2,"symbolic_reuses":0,"mode_switches":12,"envelope_permille":1900}"#
-        ));
     }
 }
