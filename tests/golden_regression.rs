@@ -15,7 +15,8 @@ use lcosc::campaign::{digest_bytes, Json};
 use lcosc::circuit::{
     run_transient, workloads, Integrator, Netlist, SolverPath, TransientOptions, Waveform,
 };
-use lcosc::core::config::OscillatorConfig;
+use lcosc::core::config::{Fidelity, OscillatorConfig};
+use lcosc::core::{ClosedLoopSim, DriverShape, GmDriver, OscillatorModel, OscillatorState};
 use lcosc::dac::{multiplication_factor, relative_step, Code, DacMismatchParams};
 use lcosc::safety::FmeaReport;
 use std::path::PathBuf;
@@ -231,6 +232,122 @@ fn solver_paths_are_stable() {
     }
     golden(
         "solver_paths.json",
+        &Json::obj([("runs", Json::Array(runs))]).render_pretty(2),
+    );
+}
+
+/// A float's bit pattern, so the fixture pins bits rather than a rounding.
+fn bits(v: f64) -> Json {
+    Json::from(format!("{:016x}", v.to_bits()))
+}
+
+/// Digest of every bit of the given series, in order.
+fn series_digest(series: &[&[f64]]) -> Json {
+    let bytes: Vec<u8> = series
+        .iter()
+        .flat_map(|s| s.iter())
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    Json::from(format!("{:016x}", digest_bytes(&bytes)))
+}
+
+/// Pins the cycle-fidelity ODE step bit for bit on every branch of its
+/// derivative: each driver shape with and without the rail clamp, a leak on
+/// either pin, a disabled driver and a zero-limit `Tanh` (open loop, through
+/// `OscillatorModel::run`), and a 12-tick `Fidelity::Cycle` loop per shape,
+/// waveform recording included. `fmea_fast_test.json` pins only
+/// `LinearSaturate` with rails, under multi-rate.
+#[test]
+fn cycle_step_paths_are_stable() {
+    if std::env::var_os("LCOSC_FIDELITY").is_some() {
+        return; // the hatch overrides the fidelity the loop cases pin
+    }
+    let cfg = OscillatorConfig::fast_test();
+    let linear = DriverShape::LinearSaturate { gm: 10e-3 };
+    let tanh = DriverShape::Tanh { gm: 10e-3 };
+    let shapes = [
+        ("hard_limit", DriverShape::HardLimit),
+        ("linear_saturate", linear),
+        ("tanh", tanh),
+    ];
+    // 2 mA swings the fast_test pins past both rails, so the clamp engages.
+    let i_max = 2e-3;
+    let model = |shape, i_max, rails: bool| {
+        let m = OscillatorModel::new(cfg.tank, GmDriver::new(shape, i_max), cfg.vref);
+        if rails {
+            m.with_rails(cfg.vdd)
+        } else {
+            m
+        }
+    };
+    let rest = OscillatorState::at_rest(cfg.vref);
+    let kick = OscillatorState {
+        v1: cfg.vref + 0.5,
+        v2: cfg.vref - 0.5,
+        il: 0.0,
+    };
+    let mut open = Vec::new();
+    for (name, shape) in shapes {
+        open.push((format!("{name}/free"), model(shape, i_max, false), rest));
+        open.push((format!("{name}/rails"), model(shape, i_max, true), rest));
+    }
+    for pin in [0, 1] {
+        let mut m = model(linear, i_max, true);
+        m.set_pin_leak(pin, 2e-3);
+        open.push((format!("linear_saturate/leak_pin{pin}"), m, rest));
+    }
+    let mut dead = model(linear, i_max, true);
+    dead.set_driver_enabled(false);
+    open.push(("driver_disabled/kick".into(), dead, kick));
+    open.push(("tanh/i_max_0/kick".into(), model(tanh, 0.0, true), kick));
+
+    let mut runs = Vec::new();
+    for (label, m, start) in open {
+        let wf = m.run(start, 200.0 / cfg.tank.f0().value(), cfg.dt(), 8);
+        let last = wf.last_state();
+        runs.push(Json::obj([
+            ("case", Json::from(label)),
+            ("samples", Json::from(wf.len())),
+            (
+                "final_state",
+                Json::Array(vec![bits(last.v1), bits(last.v2), bits(last.il)]),
+            ),
+            ("digest", series_digest(&[&wf.v1, &wf.v2, &wf.il])),
+        ]));
+    }
+    for (name, shape) in shapes {
+        // `sim.rs`'s `cycle_cfg()`: a 0.2 ms tick and a 15 µs detector τ.
+        let mut loop_cfg = cfg.clone();
+        loop_cfg.fidelity = Fidelity::Cycle;
+        loop_cfg.tick_period = 0.2e-3;
+        loop_cfg.detector_tau = 15e-6;
+        loop_cfg.driver_shape = shape;
+        let mut sim = ClosedLoopSim::new(loop_cfg).expect("cycle loop config is valid");
+        sim.run_ticks(12);
+        let tr = sim.trace();
+        runs.push(Json::obj([
+            ("case", Json::from(format!("{name}/cycle_loop"))),
+            ("samples", Json::from(tr.waveform_vdiff.len())),
+            (
+                "final_state",
+                Json::Array(vec![
+                    bits(sim.time()),
+                    bits(sim.vdc1()),
+                    bits(sim.amplitude_peak()),
+                ]),
+            ),
+            (
+                "codes",
+                Json::Array(tr.codes.iter().map(|&c| Json::from(c)).collect()),
+            ),
+            (
+                "digest",
+                series_digest(&[&tr.tick_times, &tr.vdc1, &tr.amplitudes, &tr.waveform_vdiff]),
+            ),
+        ]));
+    }
+    golden(
+        "cycle_step.json",
         &Json::obj([("runs", Json::Array(runs))]).render_pretty(2),
     );
 }
