@@ -20,9 +20,8 @@ fn bench_ode_throughput(c: &mut Criterion) {
     g.bench_function("oscillator_ode_1k_steps", |b| {
         b.iter(|| {
             let mut state = OscillatorState::at_rest(cfg.vref);
-            let mut scratch = vec![0.0; 15];
             for _ in 0..1000 {
-                model.step(&mut state, dt, &mut scratch);
+                model.step(&mut state, dt);
             }
             black_box(state.v_diff())
         });

@@ -15,7 +15,7 @@
 
 use crate::gm_driver::GmDriver;
 use crate::tank::LcTank;
-use lcosc_num::ode::{rk4_step, OdeSystem};
+use lcosc_num::ode::OdeSystem;
 
 /// Oscillator state: pin voltages and coil current.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,13 +132,23 @@ impl OscillatorModel {
         self.driver_enabled = enabled;
     }
 
-    /// Advances the state by one RK4 step of size `dt`.
-    pub fn step(&self, state: &mut OscillatorState, dt: f64, scratch: &mut [f64]) {
-        let mut x = [state.v1, state.v2, state.il];
-        rk4_step(self, 0.0, dt, &mut x, scratch);
-        state.v1 = x[0];
-        state.v2 = x[1];
-        state.il = x[2];
+    /// Advances the state by one classic RK4 step of size `dt`.
+    ///
+    /// The four stages run on `[f64; 3]` over the forced-inline
+    /// [`OscillatorModel::rates`], so the step compiles to one straight-line
+    /// body. Its expression trees are those of the generic
+    /// [`lcosc_num::ode::rk4_step`], which stays its bit-for-bit reference.
+    pub fn step(&self, state: &mut OscillatorState, dt: f64) {
+        let x = [state.v1, state.v2, state.il];
+        let half = 0.5 * dt;
+        let k1 = self.rates(x);
+        let k2 = self.rates(offset(x, half, k1));
+        let k3 = self.rates(offset(x, half, k2));
+        let k4 = self.rates(offset(x, dt, k3));
+        let h = dt / 6.0;
+        state.v1 = x[0] + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]);
+        state.v2 = x[1] + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
+        state.il = x[2] + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]);
     }
 
     /// Runs for `duration` seconds with step `dt`, recording every
@@ -163,10 +173,9 @@ impl OscillatorModel {
             v2: Vec::with_capacity(steps / stride + 1),
             il: Vec::with_capacity(steps / stride + 1),
         };
-        let mut scratch = vec![0.0; 15];
         wf.push(&state);
         for k in 1..=steps {
-            self.step(&mut state, dt, &mut scratch);
+            self.step(&mut state, dt);
             if k % stride == 0 {
                 wf.push(&state);
             }
@@ -175,6 +184,7 @@ impl OscillatorModel {
     }
 
     /// Driver currents injected into (LC1, LC2) at a given state.
+    #[inline(always)]
     pub fn driver_currents(&self, state: &OscillatorState) -> (f64, f64) {
         if !self.driver_enabled {
             return (0.0, 0.0);
@@ -185,14 +195,12 @@ impl OscillatorModel {
             -self.driver.current(state.v1 - self.vref),
         )
     }
-}
 
-impl OdeSystem for OscillatorModel {
-    fn dim(&self) -> usize {
-        3
-    }
-
-    fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
+    /// The Fig 1 ODE's right-hand side `dx/dt` at `x = [v1, v2, iL]`: the
+    /// one place the formula lives ([`OdeSystem::derivatives`] delegates
+    /// here too).
+    #[inline(always)]
+    fn rates(&self, x: [f64; 3]) -> [f64; 3] {
         let state = OscillatorState {
             v1: x[0],
             v2: x[1],
@@ -205,21 +213,42 @@ impl OdeSystem for OscillatorModel {
         let rs = self.tank.rs().value();
         let leak1 = self.pin_leak[0] * (state.v1 - 0.0);
         let leak2 = self.pin_leak[1] * (state.v2 - 0.0);
-        // Behavioral rail clamp: 20 mS (≈50 Ω ESD/junction path) beyond the
-        // supply range — strong enough to bound the swing, soft enough to
-        // keep the RK4 step non-stiff at the default step size.
-        const G_CLAMP: f64 = 0.02;
-        let clamp = |v: f64| -> f64 {
-            match self.rails_vdd {
-                Some(vdd) if v > vdd => -G_CLAMP * (v - vdd),
-                Some(_) if v < 0.0 => -G_CLAMP * v,
-                _ => 0.0,
-            }
-        };
-        dx[0] = (i1 - state.il - leak1 + clamp(state.v1)) / c1;
-        dx[1] = (i2 + state.il - leak2 + clamp(state.v2)) / c2;
-        dx[2] = ((state.v1 - state.v2) - rs * state.il) / l;
+        [
+            (i1 - state.il - leak1 + self.clamp(state.v1)) / c1,
+            (i2 + state.il - leak2 + self.clamp(state.v2)) / c2,
+            ((state.v1 - state.v2) - rs * state.il) / l,
+        ]
     }
+
+    /// Behavioral rail clamp current into a pin at `v`: 20 mS (≈50 Ω
+    /// ESD/junction path) beyond the supply range — strong enough to bound
+    /// the swing, soft enough to keep the RK4 step non-stiff at the default
+    /// step size.
+    #[inline(always)]
+    fn clamp(&self, v: f64) -> f64 {
+        const G_CLAMP: f64 = 0.02;
+        match self.rails_vdd {
+            Some(vdd) if v > vdd => -G_CLAMP * (v - vdd),
+            Some(_) if v < 0.0 => -G_CLAMP * v,
+            _ => 0.0,
+        }
+    }
+}
+
+impl OdeSystem for OscillatorModel {
+    fn dim(&self) -> usize {
+        3
+    }
+
+    fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
+        dx.copy_from_slice(&self.rates([x[0], x[1], x[2]]));
+    }
+}
+
+/// One RK4 stage state `x + h·k`.
+#[inline(always)]
+fn offset(x: [f64; 3], h: f64, k: [f64; 3]) -> [f64; 3] {
+    [x[0] + h * k[0], x[1] + h * k[1], x[2] + h * k[2]]
 }
 
 /// A recorded oscillator run (uniformly sampled).
@@ -277,7 +306,7 @@ mod tests {
     use super::*;
     use crate::condition::OscillationCondition;
     use crate::gm_driver::DriverShape;
-    use lcosc_num::ode::frequency_from_crossings;
+    use lcosc_num::ode::{frequency_from_crossings, rk4_step};
     use lcosc_num::units::Amps;
 
     /// A fast, low-frequency tank for unit tests (f0 ≈ 1 MHz, Q = 10).
@@ -478,6 +507,52 @@ mod tests {
         let last = wf.last_state();
         assert_eq!(last.v1, *wf.v1.last().unwrap());
         assert!((last.v_cm() - 1.65).abs() < 0.2);
+    }
+
+    #[test]
+    fn step_matches_generic_rk4_bit_for_bit() {
+        // 2 mA swings this tank's pins past both rails, so every branch of
+        // the derivative runs.
+        let tank = test_tank();
+        let dt = dt_for(&tank);
+        for shape in [
+            DriverShape::HardLimit,
+            DriverShape::LinearSaturate { gm: 10e-3 },
+            DriverShape::Tanh { gm: 10e-3 },
+        ] {
+            for rails in [false, true] {
+                for leak_pin in [None, Some(0), Some(1)] {
+                    for enabled in [true, false] {
+                        let mut model =
+                            OscillatorModel::new(tank, GmDriver::new(shape, 2e-3), 1.65);
+                        if rails {
+                            model = model.with_rails(3.3);
+                        }
+                        if let Some(pin) = leak_pin {
+                            model.set_pin_leak(pin, 2e-3);
+                        }
+                        model.set_driver_enabled(enabled);
+                        let mut fixed = OscillatorState {
+                            v1: 1.95,
+                            v2: 1.35,
+                            il: 0.0,
+                        };
+                        let mut generic = [fixed.v1, fixed.v2, fixed.il];
+                        let mut scratch = [0.0; 15];
+                        for k in 0..10_000 {
+                            model.step(&mut fixed, dt);
+                            rk4_step(&model, k as f64 * dt, dt, &mut generic, &mut scratch);
+                            assert_eq!(
+                                [fixed.v1, fixed.v2, fixed.il].map(f64::to_bits),
+                                generic.map(f64::to_bits),
+                                "{shape:?}, rails {rails}, leak {leak_pin:?}, \
+                                 enabled {enabled}: step {k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -138,7 +138,6 @@ pub struct ClosedLoopSim {
     trace: SimTrace,
     /// Cycle mode: record every n-th ODE sample into the waveform.
     record_stride: usize,
-    scratch: Vec<f64>,
     noise_rng: StdRng,
     tracer: Trace,
     regulating_logged: bool,
@@ -237,7 +236,6 @@ impl ClosedLoopSim {
             driver_dead: false,
             trace: SimTrace::default(),
             record_stride: (cfg.steps_per_period / 8).max(1),
-            scratch: vec![0.0; 15],
             noise_rng: StdRng::seed_from_u64(cfg.noise_seed),
             tracer: Trace::off(),
             regulating_logged: false,
@@ -497,7 +495,7 @@ impl ClosedLoopSim {
                 let mut k = 0usize;
                 while self.t < tick_end {
                     self.advance_startup(self.t + dt);
-                    self.model.step(&mut self.state, dt, &mut self.scratch);
+                    self.model.step(&mut self.state, dt);
                     window = self.detector.update(self.state.v1, self.state.v2);
                     self.t += dt;
                     if k.is_multiple_of(self.record_stride) {
@@ -722,7 +720,7 @@ impl ClosedLoopSim {
         let dt = self.cfg.dt();
         while self.t < t_end {
             self.advance_startup(self.t + dt);
-            self.model.step(&mut self.state, dt, &mut self.scratch);
+            self.model.step(&mut self.state, dt);
             window = self.detector.update(self.state.v1, self.state.v2);
             self.t += dt;
             changed |= window != entry_class;

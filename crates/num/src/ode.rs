@@ -1,7 +1,10 @@
 //! ODE integration for behavioral circuit models.
 //!
-//! Provides a classic fixed-step RK4 ([`rk4_step`]) and a zero-crossing
-//! event scanner used for oscillation frequency measurement.
+//! Provides a generic classic fixed-step RK4 ([`rk4_step`]) over any
+//! [`OdeSystem`], and a zero-crossing event scanner used for oscillation
+//! frequency measurement. The oscillator's cycle step
+//! (`lcosc_core::oscillator`) runs a fixed-size, inlined copy of the same
+//! arithmetic; `rk4_step` is its bit-for-bit test reference.
 
 /// A first-order ODE system `x' = f(t, x)`.
 ///
