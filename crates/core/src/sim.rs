@@ -483,26 +483,7 @@ impl ClosedLoopSim {
                 }
             }
             Fidelity::Cycle => {
-                let dt = self.cfg.dt();
-                // Reserve the tick's recorded samples up front so the push
-                // below never reallocates mid-loop (the transient stepping
-                // machinery is allocation-free after warm-up; keep the
-                // waveform recording that way too).
-                let steps = ((tick_end - self.t) / dt).ceil().max(0.0) as usize;
-                self.trace
-                    .waveform_vdiff
-                    .reserve(steps / self.record_stride.max(1) + 1);
-                let mut k = 0usize;
-                while self.t < tick_end {
-                    self.advance_startup(self.t + dt);
-                    self.model.step(&mut self.state, dt);
-                    window = self.detector.update(self.state.v1, self.state.v2);
-                    self.t += dt;
-                    if k.is_multiple_of(self.record_stride) {
-                        self.trace.waveform_vdiff.push(self.state.v_diff());
-                    }
-                    k += 1;
-                }
+                window = self.cycle_steps(tick_end, true).0;
             }
             Fidelity::MultiRate => {
                 window = self.multirate_dynamics(tick_end);
@@ -711,21 +692,46 @@ impl ClosedLoopSim {
     /// against the cycle-measured amplitude.
     fn run_cycle_span(&mut self, t_end: f64) -> (WindowState, bool) {
         let span = t_end - self.t;
-        let mut window = self.detector.state();
         if span <= 0.0 {
-            return (window, false);
+            return (self.detector.state(), false);
         }
-        let entry_class = window;
-        let mut changed = false;
+        let outcome = self.cycle_steps(t_end, false);
+        self.amp = self.envelope.step(self.amp, span);
+        outcome
+    }
+
+    /// The cycle-fidelity hot loop: steps the oscillator ODE and the
+    /// detector on the ODE grid up to `t_end`. Returns the last window
+    /// classification (the entry class if no step runs) and whether any
+    /// step left the entry class. With `record`, every `record_stride`-th
+    /// `v1 − v2` sample is appended to the waveform.
+    fn cycle_steps(&mut self, t_end: f64, record: bool) -> (WindowState, bool) {
         let dt = self.cfg.dt();
+        if record {
+            // Reserve the recorded samples up front so the push below never
+            // reallocates mid-loop (the transient stepping machinery is
+            // allocation-free after warm-up; keep the waveform recording
+            // that way too).
+            let steps = ((t_end - self.t) / dt).ceil().max(0.0) as usize;
+            self.trace
+                .waveform_vdiff
+                .reserve(steps / self.record_stride + 1);
+        }
+        let entry_class = self.detector.state();
+        let mut window = entry_class;
+        let mut changed = false;
+        let mut k = 0usize;
         while self.t < t_end {
             self.advance_startup(self.t + dt);
             self.model.step(&mut self.state, dt);
             window = self.detector.update(self.state.v1, self.state.v2);
             self.t += dt;
             changed |= window != entry_class;
+            if record && k.is_multiple_of(self.record_stride) {
+                self.trace.waveform_vdiff.push(self.state.v_diff());
+            }
+            k += 1;
         }
-        self.amp = self.envelope.step(self.amp, span);
         (window, changed)
     }
 
