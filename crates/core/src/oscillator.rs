@@ -134,10 +134,10 @@ impl OscillatorModel {
 
     /// Advances the state by one classic RK4 step of size `dt`.
     ///
-    /// The four stages run on `[f64; 3]` over the forced-inline
-    /// [`OscillatorModel::rates`], so the step compiles to one straight-line
-    /// body. Its expression trees are those of the generic
-    /// [`lcosc_num::ode::rk4_step`], which stays its bit-for-bit reference.
+    /// The four stages run on `[f64; 3]` over one forced-inline derivative,
+    /// so the step compiles to one straight-line body. Its expression trees
+    /// are those of the generic [`lcosc_num::ode::rk4_step`], which stays
+    /// its bit-for-bit reference.
     pub fn step(&self, state: &mut OscillatorState, dt: f64) {
         let x = [state.v1, state.v2, state.il];
         let half = 0.5 * dt;

@@ -3,21 +3,12 @@
 //! submission orders. `transient_determinism.rs` holds the transient
 //! part of the contract on its own, for the `LCOSC_SOLVER` hatch runs.
 
+mod common;
+
 use lcosc_serve::{ServeConfig, ServeEngine};
 use lcosc_trace::{MemorySink, Trace, TraceEvent};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn engine(threads: usize, cache_entries: usize) -> Arc<ServeEngine> {
-    ServeEngine::start(&ServeConfig {
-        threads,
-        queue_depth: 64,
-        cache_entries,
-        deadline: Duration::from_secs(60),
-        max_line_bytes: 1 << 20,
-        trace: Trace::off(),
-    })
-}
 
 /// A mixed request batch covering every cacheable kind.
 fn request_batch() -> Vec<String> {
@@ -47,54 +38,24 @@ fn request_batch() -> Vec<String> {
     lines
 }
 
-fn run_batch(engine: &Arc<ServeEngine>, lines: &[String]) -> Vec<String> {
-    // Submit everything first (pipelined across the pool), then resolve.
-    let handles: Vec<_> = lines.iter().map(|l| engine.submit_line(l)).collect();
-    handles
-        .into_iter()
-        .map(lcosc_serve::Response::wait)
-        .collect()
-}
-
 #[test]
 fn responses_are_byte_identical_across_thread_counts() {
-    let lines = request_batch();
-    let serial = engine(1, 256);
-    let parallel = engine(4, 256);
-    let a = run_batch(&serial, &lines);
-    let b = run_batch(&parallel, &lines);
-    for (line, (ra, rb)) in lines.iter().zip(a.iter().zip(&b)) {
-        assert_eq!(ra, rb, "thread-count divergence for {line}");
-        assert!(ra.contains("\"status\":\"ok\""), "{ra}");
-    }
-    serial.shutdown();
-    parallel.shutdown();
+    common::assert_thread_count_invariant(&request_batch());
 }
 
 #[test]
 fn cold_and_warmed_cache_produce_identical_bytes() {
-    let lines = request_batch();
-    let warm = engine(2, 256);
-    let cold = engine(2, 0); // cache disabled: every request computes
-    let first = run_batch(&warm, &lines);
-    let replay = run_batch(&warm, &lines); // all hits
-    let uncached = run_batch(&cold, &lines);
-    assert_eq!(first, replay, "cache replay changed bytes");
-    assert_eq!(first, uncached, "cache path changed bytes");
-    assert_eq!(warm.counters().cache_hits, lines.len() as u64);
-    assert_eq!(cold.counters().cache_hits, 0);
-    warm.shutdown();
-    cold.shutdown();
+    common::assert_cache_state_invariant(&request_batch());
 }
 
 #[test]
 fn submission_order_does_not_change_any_response() {
     let lines = request_batch();
     let reversed: Vec<String> = lines.iter().rev().cloned().collect();
-    let forward = engine(3, 256);
-    let backward = engine(3, 256);
-    let mut a = run_batch(&forward, &lines);
-    let mut b = run_batch(&backward, &reversed);
+    let forward = common::engine(3, 256);
+    let backward = common::engine(3, 256);
+    let mut a = common::run_batch(&forward, &lines);
+    let mut b = common::run_batch(&backward, &reversed);
     a.sort();
     b.sort();
     assert_eq!(a, b, "arrival order changed a response");

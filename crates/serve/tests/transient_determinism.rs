@@ -5,21 +5,7 @@
 //! request mix; this target keeps the transient part small enough to run
 //! under every forced solver path.
 
-use lcosc_serve::{ServeConfig, ServeEngine};
-use lcosc_trace::Trace;
-use std::sync::Arc;
-use std::time::Duration;
-
-fn engine(threads: usize, cache_entries: usize) -> Arc<ServeEngine> {
-    ServeEngine::start(&ServeConfig {
-        threads,
-        queue_depth: 64,
-        cache_entries,
-        deadline: Duration::from_secs(60),
-        max_line_bytes: 1 << 20,
-        trace: Trace::off(),
-    })
-}
+mod common;
 
 /// An RC ladder deck: a DC source into `sections` series-R, shunt-C stages.
 fn rc_ladder_elements(sections: usize) -> String {
@@ -63,53 +49,23 @@ fn transient_batch() -> Vec<String> {
     ]
 }
 
-fn run_batch(engine: &Arc<ServeEngine>, lines: &[String]) -> Vec<String> {
-    // Submit everything first (pipelined across the pool), then resolve.
-    let handles: Vec<_> = lines.iter().map(|l| engine.submit_line(l)).collect();
-    handles
-        .into_iter()
-        .map(lcosc_serve::Response::wait)
-        .collect()
-}
-
 #[test]
 fn transient_responses_are_byte_identical_across_thread_counts() {
-    let lines = transient_batch();
-    let serial = engine(1, 256);
-    let parallel = engine(4, 256);
-    let a = run_batch(&serial, &lines);
-    let b = run_batch(&parallel, &lines);
-    for (line, (ra, rb)) in lines.iter().zip(a.iter().zip(&b)) {
-        assert_eq!(ra, rb, "thread-count divergence for {line}");
-        assert!(ra.contains("\"status\":\"ok\""), "{ra}");
-    }
+    let replies = common::assert_thread_count_invariant(&transient_batch());
     // Unforced, only the ladder crosses `Auto`'s sparse threshold.
     if std::env::var_os("LCOSC_SOLVER").is_none() {
-        for (reply, sparse) in a.iter().zip([false, false, true]) {
+        for (reply, sparse) in replies.iter().zip([false, false, true]) {
             assert!(
                 reply.contains(&format!("\"used_sparse_path\":{sparse}")),
                 "{reply}"
             );
         }
     }
-    serial.shutdown();
-    parallel.shutdown();
 }
 
 #[test]
 fn transient_cold_and_warmed_cache_produce_identical_bytes() {
-    let lines = transient_batch();
-    let warm = engine(2, 256);
-    let cold = engine(2, 0); // cache disabled: every request computes
-    let first = run_batch(&warm, &lines);
-    let replay = run_batch(&warm, &lines); // all hits
-    let uncached = run_batch(&cold, &lines);
-    assert_eq!(first, replay, "cache replay changed bytes");
-    assert_eq!(first, uncached, "cache path changed bytes");
-    assert_eq!(warm.counters().cache_hits, lines.len() as u64);
-    assert_eq!(cold.counters().cache_hits, 0);
-    warm.shutdown();
-    cold.shutdown();
+    common::assert_cache_state_invariant(&transient_batch());
 }
 
 #[test]

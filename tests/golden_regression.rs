@@ -136,6 +136,21 @@ fn diode_divider() -> Netlist {
     nl
 }
 
+/// A float's bit pattern, so the fixture pins bits rather than a rounding.
+fn bits(v: f64) -> Json {
+    Json::from(format!("{:016x}", v.to_bits()))
+}
+
+/// Digest of every bit of the given series, in order.
+fn series_digest(series: &[&[f64]]) -> Json {
+    let bytes: Vec<u8> = series
+        .iter()
+        .flat_map(|s| s.iter())
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    Json::from(format!("{:016x}", digest_bytes(&bytes)))
+}
+
 /// Pins the transient solver paths no other oracle covers bit for bit:
 /// dense Newton and dense linear (two `.sp` fixtures run with their own
 /// `.tran` cards), sparse linear (two large linear workloads under
@@ -196,11 +211,6 @@ fn solver_paths_are_stable() {
                 ..*opts
             };
             let res = run_transient(nl, &opts).expect("transient converges");
-            let bytes: Vec<u8> = [res.times(), res.voltages_flat(), res.currents_flat()]
-                .iter()
-                .flat_map(|s| s.iter())
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .collect();
             let s = res.stats();
             let last = res.len() - 1;
             runs.push(Json::obj([
@@ -221,7 +231,7 @@ fn solver_paths_are_stable() {
                 ),
                 (
                     "digest",
-                    Json::from(format!("{:016x}", digest_bytes(&bytes))),
+                    series_digest(&[res.times(), res.voltages_flat(), res.currents_flat()]),
                 ),
                 ("steps", Json::from(s.steps as i64)),
                 ("newton_iterations", Json::from(s.newton_iterations as i64)),
@@ -234,21 +244,6 @@ fn solver_paths_are_stable() {
         "solver_paths.json",
         &Json::obj([("runs", Json::Array(runs))]).render_pretty(2),
     );
-}
-
-/// A float's bit pattern, so the fixture pins bits rather than a rounding.
-fn bits(v: f64) -> Json {
-    Json::from(format!("{:016x}", v.to_bits()))
-}
-
-/// Digest of every bit of the given series, in order.
-fn series_digest(series: &[&[f64]]) -> Json {
-    let bytes: Vec<u8> = series
-        .iter()
-        .flat_map(|s| s.iter())
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .collect();
-    Json::from(format!("{:016x}", digest_bytes(&bytes)))
 }
 
 /// Pins the cycle-fidelity ODE step bit for bit on every branch of its
