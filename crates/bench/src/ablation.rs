@@ -33,14 +33,11 @@ pub struct WindowAblation {
 ///
 /// Narrow windows are run through a *raw* loop (FSM + envelope + exact
 /// comparator) because [`OscillatorConfig::validate`] rightly refuses them.
-pub fn window_width_sweep(widths: &[f64]) -> Vec<WindowAblation> {
-    window_width_sweep_threads(widths, 1)
-}
-
-/// [`window_width_sweep`] fanned out over `threads` campaign workers
-/// (`1` = serial, `0` = all cores); sweep points are independent jobs and
-/// the result order is the input order regardless of scheduling.
-pub fn window_width_sweep_threads(widths: &[f64], threads: usize) -> Vec<WindowAblation> {
+///
+/// The sweep fans out over `threads` campaign workers (`1` = serial, `0` =
+/// all cores); sweep points are independent jobs and the result order is
+/// the input order regardless of scheduling.
+pub fn window_width_sweep(widths: &[f64], threads: usize) -> Vec<WindowAblation> {
     lcosc_campaign::Campaign::new("ablation-window", widths.to_vec())
         .threads(threads)
         .run(|_ctx, &window| {
@@ -179,14 +176,9 @@ pub struct StartCodeAblation {
 
 /// Sweeps the POR preset. The paper's 105 is the sweet spot: ≈40 % of the
 /// maximum consumption, yet enough drive (5 Gm stages, 800 units) to start
-/// the poorest supported tank.
-pub fn start_code_sweep(presets: &[u8]) -> Vec<StartCodeAblation> {
-    start_code_sweep_threads(presets, 1)
-}
-
-/// [`start_code_sweep`] fanned out over `threads` campaign workers
-/// (`1` = serial, `0` = all cores).
-pub fn start_code_sweep_threads(presets: &[u8], threads: usize) -> Vec<StartCodeAblation> {
+/// the poorest supported tank. The presets fan out over `threads` campaign
+/// workers (`1` = serial, `0` = all cores).
+pub fn start_code_sweep(presets: &[u8], threads: usize) -> Vec<StartCodeAblation> {
     use lcosc_core::condition::OscillationCondition;
     let worst_tank = OscillatorConfig::low_q().tank;
     let worst_crit = OscillationCondition::new(worst_tank).critical_gm();
@@ -226,15 +218,18 @@ pub struct DriverShapeAblation {
     pub amplitude_vpp: f64,
 }
 
+/// The three driver I–V shapes the ablation (and `repro`'s EMC study)
+/// compare, with their labels.
+pub const DRIVER_SHAPES: [(&str, DriverShape); 3] = [
+    ("hard-limit", DriverShape::HardLimit),
+    ("linear-saturate", DriverShape::LinearSaturate { gm: 10e-3 }),
+    ("tanh", DriverShape::Tanh { gm: 10e-3 }),
+];
+
 /// Compares the three driver I–V shapes.
 pub fn driver_shape_comparison() -> [DriverShapeAblation; 3] {
     let tank = OscillatorConfig::datasheet_3mhz().tank;
-    let shapes: [(&'static str, DriverShape); 3] = [
-        ("hard-limit", DriverShape::HardLimit),
-        ("linear-saturate", DriverShape::LinearSaturate { gm: 10e-3 }),
-        ("tanh", DriverShape::Tanh { gm: 10e-3 }),
-    ];
-    shapes.map(|(name, shape)| {
+    DRIVER_SHAPES.map(|(name, shape)| {
         let driver = GmDriver::new(shape, 1e-3);
         let model = EnvelopeModel::new(tank, driver);
         DriverShapeAblation {
@@ -251,7 +246,7 @@ mod tests {
 
     #[test]
     fn narrow_window_hunts_wide_window_settles() {
-        let runs = window_width_sweep(&[0.03, 0.15]);
+        let runs = window_width_sweep(&[0.03, 0.15], 1);
         let narrow = &runs[0];
         let wide = &runs[1];
         // Paper §4: a window narrower than the max step causes regulation
@@ -295,7 +290,7 @@ mod tests {
 
     #[test]
     fn paper_preset_is_the_sweet_spot() {
-        let runs = start_code_sweep(&[64, 90, 105, 127]);
+        let runs = start_code_sweep(&[64, 90, 105, 127], 1);
         let at = |p: u8| runs.iter().find(|r| r.preset == p).expect("preset present");
         // 105 starts the worst tank at ~40 % of max inrush.
         assert!(at(105).starts_worst_case_tank);

@@ -1,5 +1,6 @@
-//! `repro` — regenerates every table and figure of the paper in one run
-//! and writes the series as CSV files under `target/repro/`, plus the
+//! `repro` — regenerates every table and figure of the paper, the
+//! ablations and the extension studies in one run: each series is written
+//! as a CSV file under `target/repro/` or printed, next to the
 //! deterministic campaign results that CI byte-compares across thread
 //! counts.
 //!
@@ -19,8 +20,7 @@
 //! - `--threads N` fans the FMEA / Monte-Carlo / sweep campaigns out over
 //!   `N` worker threads (`0` = all cores, default `1` = serial). Campaign
 //!   *results* are bit-identical for every `N`; only wall-clock changes.
-//! - `--campaigns-only` skips the figure CSVs and runs just the campaigns
-//!   (the CI equivalence smoke test uses this).
+//! - `--campaigns-only` skips the figure pass and runs just the campaigns.
 //! - `--results-out PATH` writes the deterministic campaign results JSON
 //!   (no timing) to `PATH`, default `target/repro/campaign_results.json`.
 //!   Timing statistics go to `target/repro/campaigns.json` separately, so
@@ -40,19 +40,18 @@
 //!   a panic?) and exit before any campaign runs.
 //!
 //! `repro` prints campaign wall-clock but gates on no timing. The
-//! repository benchmark is `perfbench/` (declared in `BENCHMARK.json`);
-//! the Criterion benches under `crates/bench/benches/` time the figure
-//! generators.
+//! repository benchmark is `perfbench/` (declared in `BENCHMARK.json`).
 
 use lcosc_bench::cli::{parse_args, Args, Cli, HELP};
 use lcosc_bench::csv::write_csv;
 use lcosc_bench::{ablation, figures, spice_smoke};
 use lcosc_campaign::{CampaignStats, Json};
-use lcosc_core::{ClosedLoopSim, OscillatorConfig};
+use lcosc_core::{analyze_emissions, ClosedLoopSim, GmDriver, OscillatorConfig};
 use lcosc_dac::{multiplication_factor, relative_step, Code, DacMismatchParams};
+use lcosc_pad::corners::qualify;
 use lcosc_pad::topology::PadTopology;
 use lcosc_safety::scenario::check_scenario;
-use lcosc_safety::{run_scenario_with_trace, Fault, SafeStateController};
+use lcosc_safety::{run_scenario_with_trace, Fault, FmeaReport, SafeStateController};
 use lcosc_trace::{
     render_jsonl, FanoutSink, MemorySink, MetricsSink, Trace, TraceEvent, TraceLevel,
 };
@@ -182,16 +181,16 @@ impl TrackedCampaign {
 }
 
 /// Runs the tracked campaigns (FMEA matrix + DAC yield): deterministic
-/// results plus timing. With `threads > 1` each campaign is first run
-/// serially to measure the speedup the JSON report tracks (that
-/// measurement run is never traced — its job events would duplicate the
-/// tracked run's).
-fn run_campaigns(threads: usize, tracer: &Trace) -> (Json, Vec<TrackedCampaign>) {
+/// results plus timing, and the FMEA matrix itself for the figure pass to
+/// print. With `threads > 1` each campaign is first run serially to
+/// measure the speedup the JSON report tracks (that measurement run is
+/// never traced — its job events would duplicate the tracked run's).
+fn run_campaigns(threads: usize, tracer: &Trace) -> (Json, Vec<TrackedCampaign>, FmeaReport) {
     let mut tracked = Vec::new();
 
     // §7 FMEA fault×detector matrix.
-    let fmea_serial_wall = (threads > 1).then(|| figures::fmea_matrix_threads(1).stats.wall);
-    let fmea = figures::fmea_matrix_threads_traced(threads, tracer);
+    let fmea_serial_wall = (threads > 1).then(|| figures::fmea_matrix(1, &Trace::off()).stats.wall);
+    let fmea = figures::fmea_matrix(threads, tracer);
     tracked.push(TrackedCampaign {
         stats: fmea.stats.clone(),
         serial_wall: fmea_serial_wall,
@@ -228,7 +227,7 @@ fn run_campaigns(threads: usize, tracer: &Trace) -> (Json, Vec<TrackedCampaign>)
         ("dac_yield", yld.report.to_json()),
         ("dac_transfer", Json::Array(transfer)),
     ]);
-    (results, tracked)
+    (results, tracked, fmea.report)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -288,7 +287,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The tracked campaigns always run: their results file is the surface
     // CI byte-compares across thread counts.
-    let (results, tracked) = run_campaigns(args.threads, &tracer);
+    let (results, tracked, fmea) = run_campaigns(args.threads, &tracer);
     write_text(&args.results_out, &results.render_pretty(2))?;
     let stats = Json::obj([
         ("threads_requested", Json::from(args.threads)),
@@ -405,16 +404,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
 
-    // §9 consumption, §7 FMEA, §8 dual.
-    let consumption = figures::consumption_vs_q_threads(args.threads);
+    // §9 consumption, §7 FMEA (the tracked campaign's matrix), §8 dual.
+    let consumption = figures::consumption_vs_q(args.threads);
     write_csv(
         &out.join("consumption_vs_q.csv"),
         &["q", "supply_a", "code"],
         consumption.iter().map(|(q, i, c)| vec![*q, *i, *c as f64]),
     )?;
-    println!("{}", figures::fmea_matrix_threads(args.threads).report);
-    let dual = figures::dual_redundancy_threads(args.threads);
-    for o in &dual {
+    println!("{fmea}");
+    for o in figures::dual_redundancy(args.threads) {
         println!(
             "dual {}: vpp {:.3} -> {:.3} (influence {:.2} %)",
             o.partner_topology,
@@ -422,11 +420,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             o.vpp_after,
             100.0 * o.influence()
         );
+        println!(
+            "dual {}: reflected conductance {:.2e} S",
+            o.partner_topology, o.reflected_conductance
+        );
     }
 
     // Ablations.
-    let window =
-        ablation::window_width_sweep_threads(&[0.03, 0.05, 0.07, 0.10, 0.15, 0.25], args.threads);
+    let window = ablation::window_width_sweep(&[0.03, 0.05, 0.07, 0.10, 0.15, 0.25], args.threads);
     write_csv(
         &out.join("ablation_window.csv"),
         &["window", "activity", "amp_error"],
@@ -434,6 +435,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|r| vec![r.window, r.activity, r.amplitude_error]),
     )?;
+    for r in &window {
+        println!(
+            "window {:.0} %: settling tick {}",
+            100.0 * r.window,
+            tick_or_never(r.settling_tick)
+        );
+    }
     for r in ablation::dac_law_comparison() {
         println!(
             "dac law {}: operating code {}, step there {:.2} %",
@@ -441,10 +449,94 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.operating_code,
             100.0 * r.worst_step_near_operating
         );
+        println!(
+            "dac law {}: settling tick {} from code 127, {} from code 1",
+            r.law,
+            tick_or_never(r.settle_from_top),
+            tick_or_never(r.settle_from_bottom)
+        );
+    }
+    for r in ablation::start_code_sweep(&[64, 80, 90, 105, 120, 127], args.threads) {
+        println!(
+            "por preset {}: inrush {:.2} mA, starts worst tank {}, settling tick {}",
+            r.preset,
+            r.inrush * 1e3,
+            r.starts_worst_case_tank,
+            tick_or_never(r.settling_tick)
+        );
+    }
+    for r in ablation::driver_shape_comparison() {
+        println!(
+            "driver shape {}: k {:.3}, {:.3} Vpp at 1 mA",
+            r.shape, r.k_factor, r.amplitude_vpp
+        );
+    }
+
+    // Extensions: DAC yield vs mismatch, pad corners, EMC per driver shape.
+    let sigmas = [(0.01, 0.008, 0.01), (0.03, 0.025, 0.03), (0.06, 0.05, 0.06)];
+    let yields = sigmas.map(|(sigma_prescale, sigma_fixed, sigma_unit)| {
+        let params = DacMismatchParams {
+            sigma_prescale,
+            sigma_fixed,
+            sigma_unit,
+            ..DacMismatchParams::default()
+        };
+        let run = lcosc_dac::yield_analysis_campaign(
+            &params,
+            YIELD_DIES,
+            YIELD_SEED,
+            YIELD_WINDOW,
+            args.threads,
+        );
+        (params, run.report)
+    });
+    write_csv(
+        &out.join("dac_yield_vs_sigma.csv"),
+        &[
+            "sigma_prescale",
+            "sigma_fixed",
+            "sigma_unit",
+            "monotonic_yield",
+            "regulation_yield",
+            "worst_inl",
+        ],
+        yields.iter().map(|(p, r)| {
+            vec![
+                p.sigma_prescale,
+                p.sigma_fixed,
+                p.sigma_unit,
+                r.monotonic_yield,
+                r.regulation_yield,
+                r.worst_inl,
+            ]
+        }),
+    )?;
+    for r in qualify(PadTopology::BulkSwitched)? {
+        println!(
+            "corner {} {:.0} K: bulk-switched peak |I| {:.3} mA",
+            r.corner,
+            r.temp_k,
+            r.peak_current * 1e3
+        );
+    }
+    let cfg = OscillatorConfig::datasheet_3mhz();
+    for (name, shape) in ablation::DRIVER_SHAPES {
+        let r = analyze_emissions(cfg.tank, GmDriver::new(shape, 0.5e-3), cfg.vref);
+        println!(
+            "emc {name}: current THD {:.1} %, voltage THD {:.2} %, cleanup {:.1}x",
+            100.0 * r.current_thd,
+            100.0 * r.voltage_thd,
+            r.filtering_gain
+        );
     }
 
     println!("\nall figures regenerated; see EXPERIMENTS.md for paper-vs-measured notes");
     Ok(())
+}
+
+/// A settling tick, or `never` for a loop that keeps hunting.
+fn tick_or_never(tick: Option<usize>) -> String {
+    tick.map_or_else(|| "never".to_owned(), |t| t.to_string())
 }
 
 /// The `.sp` early-exit modes: `--deck`, `--spice-smoke`, `--fuzz-smoke`.

@@ -54,8 +54,8 @@ pub fn table1() -> String {
 }
 
 /// Verifies the Table 1 encoder against the closed-form staircase for all
-/// codes; returns the number of checked codes (128). Used by the bench to
-/// have real work to time.
+/// codes; returns the number of checked codes (128). `repro` runs it after
+/// printing the table, so an encoder that disagrees fails the run.
 pub fn table1_verify() -> usize {
     Code::all()
         .map(|c| {
@@ -135,14 +135,10 @@ pub fn fig17_18_unsupplied(topology: PadTopology) -> Vec<UnsuppliedPoint> {
 }
 
 /// §9 — supply current vs tank quality factor at the 2.7 Vpp operating
-/// amplitude (the paper's 250 µA … 30 mA consumption claim).
-pub fn consumption_vs_q() -> Vec<(f64, f64, u8)> {
-    consumption_vs_q_threads(1)
-}
-
-/// [`consumption_vs_q`] fanned out over `threads` campaign workers
-/// (`1` = serial, `0` = all cores); each Q point is one independent job.
-pub fn consumption_vs_q_threads(threads: usize) -> Vec<(f64, f64, u8)> {
+/// amplitude (the paper's 250 µA … 30 mA consumption claim), fanned out
+/// over `threads` campaign workers (`1` = serial, `0` = all cores); each
+/// Q point is one independent job.
+pub fn consumption_vs_q(threads: usize) -> Vec<(f64, f64, u8)> {
     use lcosc_core::tank::LcTank;
     use lcosc_num::units::{Farads, Henries};
     // The supported two-decade band for the datasheet coil (see
@@ -163,35 +159,18 @@ pub fn consumption_vs_q_threads(threads: usize) -> Vec<(f64, f64, u8)> {
         .results
 }
 
-/// §7 — the FMEA matrix on the datasheet operating point.
-pub fn fmea_matrix() -> FmeaReport {
-    FmeaReport::run(&OscillatorConfig::datasheet_3mhz()).expect("config is valid")
-}
-
-/// [`fmea_matrix`] as a parallel campaign: returns the matrix plus the
-/// campaign's wall-clock/job-count statistics.
-pub fn fmea_matrix_threads(threads: usize) -> lcosc_safety::FmeaRun {
-    fmea_matrix_threads_traced(threads, &lcosc_trace::Trace::off())
-}
-
-/// [`fmea_matrix_threads`] with campaign-level trace events (job index,
-/// seed, wall-clock) emitted into `tracer` in catalog order.
-pub fn fmea_matrix_threads_traced(
-    threads: usize,
-    tracer: &lcosc_trace::Trace,
-) -> lcosc_safety::FmeaRun {
+/// §7 — the FMEA matrix on the datasheet operating point, as a campaign
+/// over `threads` workers: returns the matrix plus the campaign's
+/// wall-clock/job-count statistics, and emits campaign-level trace events
+/// (job index, seed, wall-clock) into `tracer` in catalog order.
+pub fn fmea_matrix(threads: usize, tracer: &lcosc_trace::Trace) -> lcosc_safety::FmeaRun {
     FmeaReport::run_with_threads_traced(&OscillatorConfig::datasheet_3mhz(), threads, tracer)
         .expect("config is valid")
 }
 
-/// §8 — dual-system supply-loss outcomes for all three pad topologies.
-pub fn dual_redundancy() -> Vec<DualOutcome> {
-    dual_redundancy_threads(1)
-}
-
-/// [`dual_redundancy`] fanned out over `threads` campaign workers; one job
-/// per pad topology.
-pub fn dual_redundancy_threads(threads: usize) -> Vec<DualOutcome> {
+/// §8 — dual-system supply-loss outcomes for all three pad topologies,
+/// fanned out over `threads` campaign workers; one job per topology.
+pub fn dual_redundancy(threads: usize) -> Vec<DualOutcome> {
     let mut cfg = OscillatorConfig::datasheet_3mhz();
     cfg.target_vpp = 2.7;
     cfg.nvm_code = cfg.recommended_nvm_code();
@@ -279,7 +258,7 @@ mod tests {
 
     #[test]
     fn consumption_span_matches_paper() {
-        let pts = consumption_vs_q();
+        let pts = consumption_vs_q(1);
         let lo = pts.last().expect("non-empty").1; // highest Q
         let hi = pts[0].1; // lowest Q
         assert!(lo < 400e-6, "best-case consumption {lo}");

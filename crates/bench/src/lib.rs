@@ -1,10 +1,10 @@
 //! # lcosc-bench — figure/table reproduction harness
 //!
-//! Data generators for every table and figure of the paper's evaluation,
-//! shared between the Criterion benches (`benches/`) and the `repro`
-//! binary (`src/bin/repro.rs`). Each generator returns plain data so the
-//! benches can both *print* the series (the reproduction) and *time* the
-//! computation (the benchmark).
+//! Data generators for every table and figure of the paper's evaluation
+//! ([`figures`]) and for the design ablations ([`ablation`]), one per
+//! series, each returning plain data that the `repro` binary
+//! (`src/bin/repro.rs`) writes as CSV or prints. Timing lives in the
+//! repository benchmark, `perfbench/`, not here.
 
 pub mod ablation;
 pub mod cli;

@@ -2,7 +2,7 @@
 //! with a Newton solve at every time step.
 //!
 //! One step loop over two linear backends: every step is one
-//! [`newton_solve_in`] call on a workspace that is either **dense** (LU
+//! `newton_solve_in` call on a workspace that is either **dense** (LU
 //! with partial pivoting) or **sparse** (a CSC LU whose symbolic analysis,
 //! ordering plus elimination pattern, is computed once per netlist
 //! structural digest and cached process-wide). On a fully linear deck

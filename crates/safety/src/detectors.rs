@@ -88,7 +88,7 @@ impl MissingClockDetector {
     /// Boundary semantics (pinned by tests):
     ///
     /// - the detector trips on the update where the accumulated quiet time
-    ///   **reaches** the time-out (within [`Self::TIMEOUT_REL_TOL`] relative
+    ///   **reaches** the time-out (within `Self::TIMEOUT_REL_TOL` relative
     ///   tolerance, absorbing float accumulation error) — not one step
     ///   later;
     /// - a single coarse step with `dt > timeout` (the envelope fidelity's

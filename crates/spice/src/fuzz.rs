@@ -6,7 +6,8 @@
 //!    (elements, `.param`/`.model`/`.tran` cards, comments, continuation
 //!    lines), then byte-level mutations corrupt them. Each case must
 //!    either parse (and survive `lcosc-check` plus a step-budgeted
-//!    transient) or fail with a typed, positioned [`SpiceError`].
+//!    transient) or fail with a typed, positioned
+//!    [`SpiceError`](crate::SpiceError).
 //! 2. **deck JSON** — the same decks round-tripped through
 //!    `netlist_to_json`, mutated as JSON text, then fed to
 //!    `netlist_from_json`. Typed `JsonParseError`/`DeckError` only.

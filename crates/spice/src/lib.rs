@@ -4,7 +4,7 @@
 //! `lcosc_circuit::deck`; this crate adds the classic line-oriented
 //! SPICE form on top of it:
 //!
-//! - [`lex`] folds `.sp` text into position-tracked cards (comments,
+//! - [`lex()`] folds `.sp` text into position-tracked cards (comments,
 //!   `+` continuations, `(`/`)`/`,` separators, case folding);
 //! - [`parse_spice`] builds a [`lcosc_circuit::Netlist`] plus analysis
 //!   plan from the cards, rejecting bad input with stable, positioned

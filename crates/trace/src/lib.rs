@@ -15,8 +15,7 @@
 //! - [`Trace`] — the cheap cloneable handle instrumented components carry.
 //!   The disabled default makes every [`Trace::emit`] a single branch and
 //!   never constructs the event;
-//! - sinks — unbounded [`MemorySink`], bounded [`RingSink`] (flight
-//!   recorder), streaming [`JsonlSink`], broadcasting [`FanoutSink`], and
+//! - sinks — unbounded [`MemorySink`], broadcasting [`FanoutSink`], and
 //!   the aggregate-only [`MetricsSink`] (counters + power-of-two
 //!   [`Histogram`]s);
 //! - byte-stable JSONL rendering with a hard golden/timing split:
@@ -57,6 +56,4 @@ pub use event::{
     render_jsonl, DetectorId, PhaseId, ServeKind, ServeStatus, StepAction, TraceEvent, WindowClass,
 };
 pub use metrics::{Histogram, MetricsSink, TraceMetrics};
-pub use sink::{
-    FanoutSink, JsonlSink, MemorySink, NullSink, RingSink, Trace, TraceLevel, TraceSink,
-};
+pub use sink::{FanoutSink, MemorySink, Trace, TraceLevel, TraceSink};

@@ -7,9 +7,6 @@
 //! beyond that null check and adds no heap traffic.
 
 use crate::event::TraceEvent;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How much a sink wants to see.
@@ -39,19 +36,11 @@ impl TraceLevel {
 /// A consumer of trace events.
 ///
 /// Sinks take `&self` and must be internally synchronized (the provided
-/// sinks use a `Mutex` or atomics), so one sink can be shared by several
+/// sinks use a `Mutex`), so one sink can be shared by several
 /// instrumented components through the cloneable [`Trace`] handle.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// Consumes one event.
     fn record(&self, event: &TraceEvent);
-}
-
-/// A sink that discards everything (explicit spelling of [`Trace::off`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _event: &TraceEvent) {}
 }
 
 /// The shareable tracing handle instrumented components store.
@@ -134,110 +123,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Bounded ring-buffer sink: keeps the most recent `capacity` events and
-/// counts what it had to drop — the always-on flight-recorder shape for
-/// long campaigns where only the tail around a failure matters.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-impl RingSink {
-    /// Creates a ring keeping at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The most recent events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        lock_unpoisoned(&self.buf).iter().copied().collect()
-    }
-
-    /// How many events were evicted to honor the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, event: &TraceEvent) {
-        let mut buf = lock_unpoisoned(&self.buf);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(*event);
-    }
-}
-
-/// Streams events as JSONL to a writer as they arrive, filtered to one
-/// stream class so golden and timing data never share a file.
-pub struct JsonlSink<W: Write + Send> {
-    out: Mutex<W>,
-    golden_only: bool,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// A sink writing only golden (deterministic) events to `out`.
-    pub fn golden(out: W) -> Self {
-        JsonlSink {
-            out: Mutex::new(out),
-            golden_only: true,
-        }
-    }
-
-    /// A sink writing every event (including machine-dependent timing).
-    pub fn all(out: W) -> Self {
-        JsonlSink {
-            out: Mutex::new(out),
-            golden_only: false,
-        }
-    }
-
-    /// Flushes and returns the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<W: Write + Send> std::fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("golden_only", &self.golden_only)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&self, event: &TraceEvent) {
-        if self.golden_only && !event.is_golden() {
-            return;
-        }
-        let mut out = lock_unpoisoned(&self.out);
-        // I/O errors cannot be surfaced from the hot path; dropping the
-        // line keeps the simulation deterministic either way.
-        let _ = writeln!(out, "{}", event.to_jsonl());
-    }
-}
-
 /// Broadcasts every event to several sinks (e.g. memory + metrics).
 #[derive(Debug, Clone, Default)]
 pub struct FanoutSink {
@@ -294,53 +179,6 @@ mod tests {
         assert_eq!(evs[3], step(3));
         assert_eq!(mem.take().len(), 5);
         assert!(mem.is_empty());
-    }
-
-    #[test]
-    fn ring_sink_bounds_memory_and_counts_drops() {
-        let ring = RingSink::new(3);
-        for k in 0..10 {
-            ring.record(&step(k));
-        }
-        let tail = ring.snapshot();
-        assert_eq!(tail, vec![step(7), step(8), step(9)]);
-        assert_eq!(ring.dropped(), 7);
-        assert_eq!(ring.capacity(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn ring_sink_rejects_zero_capacity() {
-        let _ = RingSink::new(0);
-    }
-
-    #[test]
-    fn jsonl_golden_sink_excludes_timing() {
-        let sink = JsonlSink::golden(Vec::new());
-        sink.record(&step(1));
-        sink.record(&TraceEvent::CampaignJobTiming {
-            index: 0,
-            wall_ns: 123,
-        });
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("code_step"));
-        assert!(!text.contains("wall_ns"));
-        assert_eq!(text.lines().count(), 1);
-    }
-
-    #[test]
-    fn jsonl_all_sink_keeps_timing() {
-        let sink = JsonlSink::all(Vec::new());
-        sink.record(&TraceEvent::CampaignJobTiming {
-            index: 2,
-            wall_ns: 77,
-        });
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(
-            text,
-            "{\"ev\":\"campaign_job_timing\",\"index\":2,\"wall_ns\":77}\n"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! - [`num`] — numerical substrate (linear algebra, ODE, filters, FFT).
 //! - [`trace`] — deterministic observability layer (typed events,
-//!   counters/histograms, ring-buffer and byte-stable JSONL sinks).
+//!   counters/histograms, memory and metrics sinks, byte-stable JSONL).
 //! - [`campaign`] — deterministic parallel campaign engine (seeded job
 //!   fan-out, order-stable reduction, byte-stable JSON reports).
 //! - [`circuit`] — netlist MNA simulator (DC, sweep, transient).
