@@ -57,7 +57,6 @@ use lcosc_trace::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Monte-Carlo population tracked by the yield campaign report.
 const YIELD_DIES: u32 = 200;
@@ -148,67 +147,28 @@ fn traced_demo(tracer: &Trace) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One tracked campaign: its timing stats and, when the run was parallel,
-/// the serial wall-clock measured for the speedup figure.
-struct TrackedCampaign {
-    stats: CampaignStats,
-    serial_wall: Option<Duration>,
+/// One tracked campaign's timing stats as a `campaigns.json` entry.
+fn campaign_json(stats: &CampaignStats) -> Json {
+    Json::obj([
+        ("name", Json::from(stats.name.clone())),
+        ("jobs", Json::from(stats.jobs)),
+        ("threads", Json::from(stats.threads)),
+        ("wall_s", Json::from(stats.wall.as_secs_f64())),
+    ])
 }
 
-impl TrackedCampaign {
-    fn to_json(&self) -> Json {
-        let speedup = self.serial_wall.map(|serial| {
-            let par = self.stats.wall.as_secs_f64();
-            if par > 0.0 {
-                serial.as_secs_f64() / par
-            } else {
-                1.0
-            }
-        });
-        Json::obj([
-            ("name", Json::from(self.stats.name.clone())),
-            ("jobs", Json::from(self.stats.jobs)),
-            ("threads", Json::from(self.stats.threads)),
-            ("wall_s", Json::from(self.stats.wall.as_secs_f64())),
-            (
-                "serial_wall_s",
-                self.serial_wall
-                    .map_or(Json::Null, |w| Json::from(w.as_secs_f64())),
-            ),
-            ("speedup_vs_serial", speedup.map_or(Json::Null, Json::from)),
-        ])
-    }
-}
-
-/// Runs the tracked campaigns (FMEA matrix + DAC yield): deterministic
-/// results plus timing, and the FMEA matrix itself for the figure pass to
-/// print. With `threads > 1` each campaign is first run serially to
-/// measure the speedup the JSON report tracks (that measurement run is
-/// never traced — its job events would duplicate the tracked run's).
-fn run_campaigns(threads: usize, tracer: &Trace) -> (Json, Vec<TrackedCampaign>, FmeaReport) {
-    let mut tracked = Vec::new();
-
+/// Runs the tracked campaigns (FMEA matrix + DAC yield) once each:
+/// deterministic results plus timing, and the FMEA matrix itself for the
+/// figure pass to print.
+fn run_campaigns(threads: usize, tracer: &Trace) -> (Json, Vec<CampaignStats>, FmeaReport) {
     // §7 FMEA fault×detector matrix.
-    let fmea_serial_wall = (threads > 1).then(|| figures::fmea_matrix(1, &Trace::off()).stats.wall);
     let fmea = figures::fmea_matrix(threads, tracer);
-    tracked.push(TrackedCampaign {
-        stats: fmea.stats.clone(),
-        serial_wall: fmea_serial_wall,
-    });
 
     // §3/Fig 8 Monte-Carlo DAC yield.
     let params = DacMismatchParams::default();
-    let yield_serial_wall = (threads > 1).then(|| {
-        lcosc_dac::yield_analysis_campaign(&params, YIELD_DIES, YIELD_SEED, YIELD_WINDOW, 1)
-            .stats
-            .wall
-    });
     let yld =
         lcosc_dac::yield_analysis_campaign(&params, YIELD_DIES, YIELD_SEED, YIELD_WINDOW, threads);
-    tracked.push(TrackedCampaign {
-        stats: yld.stats.clone(),
-        serial_wall: yield_serial_wall,
-    });
+    let tracked = vec![fmea.stats, yld.stats];
 
     // Fig 3/Fig 4 + Table 1 DAC transfer, serialized with the campaign
     // results so the golden layer can track the full staircase.
@@ -293,7 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("threads_requested", Json::from(args.threads)),
         (
             "campaigns",
-            Json::Array(tracked.iter().map(TrackedCampaign::to_json).collect()),
+            Json::Array(tracked.iter().map(campaign_json).collect()),
         ),
     ]);
     write_text(&out.join("campaigns.json"), &stats.render_pretty(2))?;
@@ -303,21 +263,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.join("campaigns.json").display()
     );
     for t in &tracked {
-        let speedup = t
-            .serial_wall
-            .map(|s| {
-                format!(
-                    ", speedup {:.2}x",
-                    s.as_secs_f64() / t.stats.wall.as_secs_f64()
-                )
-            })
-            .unwrap_or_default();
         println!(
-            "campaign {}: {} jobs on {} thread(s) in {:.1} ms{speedup}",
-            t.stats.name,
-            t.stats.jobs,
-            t.stats.threads,
-            t.stats.wall.as_secs_f64() * 1e3,
+            "campaign {}: {} jobs on {} thread(s) in {:.1} ms",
+            t.name,
+            t.jobs,
+            t.threads,
+            t.wall.as_secs_f64() * 1e3,
         );
     }
     if let (Some(capture), Some(path)) = (&capture, &args.trace_out) {

@@ -15,7 +15,9 @@
 //! `parse(render(v)) == v` for every finite tree, which
 //! `crates/campaign/tests/json_roundtrip.rs` pins as a property.
 //! [`Json::canonicalize`] produces the ordered-key form the serving
-//! layer's content-addressed result cache hashes.
+//! layer's content-addressed result cache hashes, and
+//! [`Json::render_canonical`] renders that form in one pass without
+//! building it.
 
 use std::fmt::Write as _;
 
@@ -82,11 +84,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (k, item) in items.iter().enumerate() {
@@ -108,9 +106,8 @@ impl Json {
                         out.push(',');
                     }
                     pad(out, depth + 1);
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str(if indent.is_some() { "\": " } else { "\":" });
+                    write_escaped(out, key);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
                     value.write(out, indent, depth + 1);
                 }
                 if !pairs.is_empty() {
@@ -204,11 +201,76 @@ impl Json {
         }
     }
 
-    /// Looks up a key in an object (first occurrence). `None` when the
-    /// value is not an object or lacks the key.
+    /// Renders the canonical form compactly, byte for byte
+    /// `self.canonicalize().render()`, in one pass over the borrowed tree:
+    /// each object's members are sorted by reference, a later duplicate
+    /// key wins, and strings escape straight into the output. Top-level
+    /// members named `omit` are left out (nested ones are kept).
+    pub fn render_canonical(&self, omit: Option<&str>) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out, omit);
+        out
+    }
+
+    fn write_canonical(&self, out: &mut String, omit: Option<&str>) {
+        match self {
+            Json::Array(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    item.write_canonical(out, None);
+                }
+                out.push(']');
+            }
+            Json::Object(pairs) => {
+                let mut sorted: Vec<&(String, Json)> = pairs
+                    .iter()
+                    .filter(|(k, _)| Some(k.as_str()) != omit)
+                    .collect();
+                // Stable: duplicates keep their document order, so the
+                // last of each run of equal keys is the one that counts.
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                out.push('{');
+                let mut first = true;
+                for (i, (key, value)) in sorted.iter().enumerate() {
+                    if sorted.get(i + 1).is_some_and(|next| next.0 == *key) {
+                        continue;
+                    }
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    write_escaped(out, key);
+                    out.push(':');
+                    value.write_canonical(out, None);
+                }
+                out.push('}');
+            }
+            scalar => scalar.write(out, None, 0),
+        }
+    }
+
+    /// Looks up a key in an object. With duplicate keys the last
+    /// occurrence wins, as in [`Json::canonicalize`], so a reader sees the
+    /// member the canonical form keeps. `None` when the value is not an
+    /// object or lacks the key.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Object(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Mutable twin of [`Json::get`] (last occurrence).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Object(pairs) => pairs
+                .iter_mut()
+                .rev()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v),
             _ => None,
         }
     }
@@ -532,23 +594,31 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-/// Escapes a string per RFC 8259.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a quoted RFC 8259 string, copying each run of bytes
+/// that needs no escape in one piece.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // Only ASCII bytes need an escape, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -715,6 +785,34 @@ mod tests {
         assert_eq!(v.canonicalize().render(), r#"{"a":[{"x":1,"y":0}],"z":3}"#);
         // Canonicalization is idempotent.
         assert_eq!(v.canonicalize().canonicalize(), v.canonicalize());
+    }
+
+    #[test]
+    fn render_canonical_matches_canonicalize_in_one_pass() {
+        let v =
+            Json::parse(r#"{"id":1,"z":{"b":1,"a":2,"id":3},"a":[{"y":0,"x":1}],"z":3,"id":2}"#)
+                .unwrap();
+        assert_eq!(v.render_canonical(None), v.canonicalize().render());
+        // Only top-level members named `omit` drop out, duplicates included.
+        assert_eq!(
+            v.render_canonical(Some("id")),
+            r#"{"a":[{"x":1,"y":0}],"z":3}"#
+        );
+        let nested = Json::parse(r#"[{"id":1,"b":"\n"}]"#).unwrap();
+        assert_eq!(
+            nested.render_canonical(Some("id")),
+            r#"[{"b":"\n","id":1}]"#
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_read_last_wins() {
+        let mut v = Json::parse(r#"{"k":1,"j":0,"k":2}"#).unwrap();
+        assert_eq!(v.get("k"), Some(&Json::Int(2)));
+        assert_eq!(v.canonicalize().get("k"), v.get("k"));
+        *v.get_mut("k").unwrap() = Json::Int(3);
+        assert_eq!(v.render(), r#"{"k":1,"j":0,"k":3}"#);
+        assert_eq!(Json::Null.get_mut("k"), None);
     }
 
     #[test]

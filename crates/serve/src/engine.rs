@@ -15,11 +15,13 @@
 
 use crate::cache::ResultCache;
 use crate::protocol::{
-    canonical_key, desugar_spice, parse_request, request_id, response_line, Body, Request,
+    canonical_key, desugar_spice, request_id, response_line, result_line, validate_request, Body,
+    Request,
 };
 use crate::work::execute;
 use lcosc_campaign::{digest_bytes, Json};
 use lcosc_trace::{ServeKind, ServeStatus, Trace, TraceEvent};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -323,8 +325,11 @@ impl ServeEngine {
         // `"spice"` bodies desugar to their JSON-deck equivalent *before*
         // request parsing and canonicalization, so both spellings of a
         // circuit share one cache digest and one response byte stream.
-        let decoded = match desugar_spice(&decoded) {
-            Ok(v) => v,
+        // Every other request keeps the tree it was parsed into: from here
+        // on nothing copies it.
+        let desugared = match desugar_spice(&decoded) {
+            Ok(Cow::Owned(v)) => Some(v),
+            Ok(Cow::Borrowed(_)) => None,
             Err(e) => {
                 return self.reject(
                     &id,
@@ -336,7 +341,8 @@ impl ServeEngine {
                 );
             }
         };
-        let request = match parse_request(&decoded) {
+        let decoded = desugared.unwrap_or(decoded);
+        let request = match validate_request(&decoded) {
             Ok(r) => r,
             Err(e) => {
                 return self.reject(
@@ -369,34 +375,38 @@ impl ServeEngine {
                     .finish(kind, 0, ServeStatus::Ok, started.elapsed(), self.depth());
                 Response::Immediate(line)
             }
-            simulation => self.submit_simulation(simulation, &decoded, id, started),
+            simulation => self.submit_simulation(simulation, decoded, id, started),
         }
     }
 
+    /// Admits a validated simulation request; `decoded` is the request
+    /// object it was validated from, which still holds a transient's deck.
     fn submit_simulation(
         &self,
-        request: Request,
-        decoded: &Json,
+        mut request: Request,
+        mut decoded: Json,
         id: Json,
         started: Instant,
     ) -> Response {
         let kind = request.kind();
-        let canonical = canonical_key(decoded);
+        let canonical = canonical_key(&decoded);
         let digest = digest_bytes(canonical.as_bytes());
         // Cache probe happens at admission, before the queue: replayed
         // responses never occupy a worker slot, which is what makes the
-        // warmed-cache throughput independent of simulation cost.
+        // warmed-cache throughput independent of simulation cost. A hit
+        // copies the stored payload once, into its reply line.
         let hit = {
             let cache = self
                 .shared
                 .cache
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            cache.get(digest, &canonical).map(str::to_string)
+            cache
+                .get(digest, &canonical)
+                .map(|payload| result_line(&id, payload))
         };
-        if let Some(payload) = hit {
+        if let Some(line) = hit {
             self.shared.count_cache(true);
-            let line = response_line(&id, ServeStatus::Ok, &Body::Payload(payload));
             self.shared.finish(
                 kind,
                 digest,
@@ -417,6 +427,13 @@ impl ServeEngine {
             );
         }
         self.shared.count_cache(false);
+        // Only a miss needs the deck: move it out of the tree the key was
+        // rendered from.
+        if let (Request::Transient { deck, .. }, Some(member)) =
+            (&mut request, decoded.get_mut("deck"))
+        {
+            *deck = std::mem::replace(member, Json::Null);
+        }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             request,
@@ -565,17 +582,17 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
             return;
         };
         shared.queued.fetch_sub(1, Ordering::SeqCst);
-        run_job(&job, shared);
+        run_job(job, shared);
     }
 }
 
-fn run_job(job: &Job, shared: &Arc<Shared>) {
+fn run_job(job: Job, shared: &Arc<Shared>) {
     let kind = job.request.kind();
     // The compute runs on a disposable thread so a deadline overrun frees
     // this worker slot immediately; the abandoned thread's late result is
     // sent into a dropped receiver and discarded.
     let (done_tx, done_rx) = mpsc::sync_channel(1);
-    let request = job.request.clone();
+    let request = job.request;
     let spawned = thread::Builder::new()
         .name("lcosc-serve-job".to_string())
         .spawn(move || {
@@ -585,23 +602,26 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
         Ok(_) => done_rx.recv_timeout(shared.deadline),
         Err(e) => Ok(Err(format!("failed to spawn compute thread: {e}"))),
     };
-    let (status, body) = match outcome {
+    let failed = |status, message| {
+        (
+            status,
+            response_line(&job.id, status, &Body::Error(message)),
+        )
+    };
+    let (status, line) = match outcome {
         Ok(Ok(payload)) => {
             let rendered = payload.render();
+            let line = result_line(&job.id, &rendered);
             let mut cache = shared
                 .cache
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            cache.insert(job.digest, &job.canonical, rendered.clone());
-            (ServeStatus::Ok, Body::Payload(rendered))
+            cache.insert(job.digest, &job.canonical, rendered);
+            (ServeStatus::Ok, line)
         }
-        Ok(Err(message)) => (ServeStatus::Error, Body::Error(message)),
-        Err(_) => (
-            ServeStatus::Timeout,
-            Body::Error("deadline exceeded".to_string()),
-        ),
+        Ok(Err(message)) => failed(ServeStatus::Error, message),
+        Err(_) => failed(ServeStatus::Timeout, "deadline exceeded".to_string()),
     };
-    let line = response_line(&job.id, status, &body);
     shared.finish(
         kind,
         job.digest,

@@ -16,6 +16,7 @@
 use lcosc_campaign::Json;
 use lcosc_safety::Fault;
 use lcosc_trace::{ServeKind, ServeStatus};
+use std::borrow::Cow;
 
 /// Oscillator configuration preset a scenario or FMEA request runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +200,8 @@ impl Request {
 /// canonicalization: the `.sp` text is parsed ([`lcosc_spice::parse_spice`]),
 /// gated through `lcosc-check`, and replaced by the JSON deck it denotes;
 /// `dt` / `t_end` fall back to the deck's `.tran` card when absent. A
-/// request without a `"spice"` member passes through unchanged.
+/// request without a `"spice"` string member is handed back borrowed, not
+/// copied.
 ///
 /// Because the rewrite happens ahead of [`canonical_key`], a spice request
 /// and its JSON-deck equivalent share one cache digest and one response
@@ -211,12 +213,12 @@ impl Request {
 /// Returns a `bad_request` message for `.sp` parse failures (with the
 /// `P0xx` code and position), `lcosc-check` rejections (`E0xx` codes),
 /// a missing analysis plan, or a request carrying both bodies.
-pub fn desugar_spice(v: &Json) -> Result<Json, String> {
+pub fn desugar_spice(v: &Json) -> Result<Cow<'_, Json>, String> {
     let Json::Object(pairs) = v else {
-        return Ok(v.clone());
+        return Ok(Cow::Borrowed(v));
     };
     let Some(Json::Str(text)) = v.get("spice") else {
-        return Ok(v.clone());
+        return Ok(Cow::Borrowed(v));
     };
     if v.get("deck").is_some() {
         return Err("request carries both \"spice\" and \"deck\" bodies".to_string());
@@ -267,7 +269,7 @@ pub fn desugar_spice(v: &Json) -> Result<Json, String> {
             }
         }
     }
-    Ok(Json::Object(rewritten))
+    Ok(Cow::Owned(Json::Object(rewritten)))
 }
 
 fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
@@ -283,6 +285,18 @@ fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
 /// Returns a human-readable message for the `"error"` field of a
 /// `bad_request` response.
 pub fn parse_request(v: &Json) -> Result<Request, String> {
+    let mut request = validate_request(v)?;
+    if let (Request::Transient { deck, .. }, Some(member)) = (&mut request, v.get("deck")) {
+        *deck = member.clone();
+    }
+    Ok(request)
+}
+
+/// The validation behind [`parse_request`], without copying the request
+/// tree: a transient's deck stays in `v`, and the returned request holds
+/// `Json::Null` in its place. [`parse_request`] copies the deck in; the
+/// engine moves it in, and only on a cache miss.
+pub(crate) fn validate_request(v: &Json) -> Result<Request, String> {
     if !matches!(v, Json::Object(_)) {
         return Err("request must be a JSON object".to_string());
     }
@@ -292,10 +306,9 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
         .ok_or_else(|| "missing or non-string \"kind\" field".to_string())?;
     match kind {
         "transient" => {
-            let deck = v
-                .get("deck")
-                .ok_or_else(|| "transient request requires a \"deck\" field".to_string())?
-                .clone();
+            if v.get("deck").is_none() {
+                return Err("transient request requires a \"deck\" field".to_string());
+            }
             let dt = f64_field(v, "dt")?;
             let t_end = f64_field(v, "t_end")?;
             if !(dt > 0.0) || !(t_end > dt) || !t_end.is_finite() {
@@ -311,7 +324,7 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
                 },
             };
             Ok(Request::Transient {
-                deck,
+                deck: Json::Null,
                 dt,
                 t_end,
                 record_stride,
@@ -400,18 +413,14 @@ pub fn request_id(v: &Json) -> Json {
 }
 
 /// The canonical cache-key preimage of a request object: the object with
-/// its `"id"` member removed, keys sorted recursively, rendered compactly.
+/// its `"id"` members removed, keys sorted recursively (the last duplicate
+/// wins), rendered compactly. It is rendered in one pass from the borrowed
+/// tree ([`Json::render_canonical`]), with no copy of the request.
 ///
 /// Two requests that differ only in `"id"` (or in member order) map to the
 /// same preimage and therefore the same cache slot.
 pub fn canonical_key(v: &Json) -> String {
-    let stripped = match v {
-        Json::Object(pairs) => {
-            Json::Object(pairs.iter().filter(|(k, _)| k != "id").cloned().collect())
-        }
-        other => other.clone(),
-    };
-    stripped.canonicalize().render()
+    v.render_canonical(Some("id"))
 }
 
 /// Response payload: either a pre-rendered JSON result document or an
@@ -428,21 +437,31 @@ pub enum Body {
 /// `{"id":<id>,"status":"<status>","result":<payload>}` on success,
 /// `{"id":<id>,"status":"<status>","error":"<message>"}` otherwise.
 pub fn response_line(id: &Json, status: ServeStatus, body: &Body) -> String {
-    let mut s = String::with_capacity(64);
-    s.push_str("{\"id\":");
-    s.push_str(&id.render());
-    s.push_str(",\"status\":\"");
-    s.push_str(status.label());
     match body {
-        Body::Payload(payload) => {
-            s.push_str("\",\"result\":");
-            s.push_str(payload);
-        }
+        Body::Payload(payload) => assemble(id, status, "result", payload),
         Body::Error(message) => {
-            s.push_str("\",\"error\":");
-            s.push_str(&Json::from(message.as_str()).render());
+            assemble(id, status, "error", &Json::from(message.as_str()).render())
         }
     }
+}
+
+/// The `ok` response line around a borrowed result payload, which is
+/// copied once, straight into the line: how a cache hit replays.
+pub(crate) fn result_line(id: &Json, payload: &str) -> String {
+    assemble(id, ServeStatus::Ok, "result", payload)
+}
+
+fn assemble(id: &Json, status: ServeStatus, member: &str, value: &str) -> String {
+    let id = id.render();
+    let mut s = String::with_capacity(id.len() + value.len() + 40);
+    s.push_str("{\"id\":");
+    s.push_str(&id);
+    s.push_str(",\"status\":\"");
+    s.push_str(status.label());
+    s.push_str("\",\"");
+    s.push_str(member);
+    s.push_str("\":");
+    s.push_str(value);
     s.push('}');
     s
 }
@@ -464,6 +483,43 @@ mod tests {
         let c = parse_line(r#"{"kind":"scenario","fault":"open_coil"}"#);
         let d = parse_line(r#"{"fault":"open_coil","kind":"scenario"}"#);
         assert_eq!(canonical_key(&c), canonical_key(&d));
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_last_wins_in_request_key_and_id() {
+        let v =
+            parse_line(r#"{"id":1,"kind":"prove","preset":"fast_test","preset":"low_q","id":2}"#);
+        assert_eq!(
+            parse_request(&v),
+            Ok(Request::Prove {
+                preset: Preset::LowQ
+            })
+        );
+        assert_eq!(canonical_key(&v), r#"{"kind":"prove","preset":"low_q"}"#);
+        assert_eq!(request_id(&v), Json::Int(2));
+    }
+
+    #[test]
+    fn requests_without_spice_pass_through_desugar_uncopied() {
+        let v = parse_line(r#"{"kind":"scenario","fault":"open_coil"}"#);
+        assert!(matches!(desugar_spice(&v), Ok(Cow::Borrowed(b)) if std::ptr::eq(b, &v)));
+    }
+
+    #[test]
+    fn transient_validation_leaves_the_deck_to_the_caller() {
+        let v = parse_line(r#"{"kind":"transient","deck":{"elements":[]},"dt":1e-6,"t_end":1e-3}"#);
+        let shell = validate_request(&v).expect("valid");
+        assert!(matches!(
+            shell,
+            Request::Transient {
+                deck: Json::Null,
+                ..
+            }
+        ));
+        let Ok(Request::Transient { deck, .. }) = parse_request(&v) else {
+            panic!("transient request parses");
+        };
+        assert_eq!(Some(&deck), v.get("deck"));
     }
 
     #[test]

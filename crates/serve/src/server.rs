@@ -115,9 +115,10 @@ fn read_bounded_line(
     if buf.last() == Some(&b'\r') {
         buf.pop();
     }
-    Ok(Some(BoundedLine::Ok(
-        String::from_utf8_lossy(&buf).into_owned(),
-    )))
+    // A valid UTF-8 line keeps the bytes it was read into.
+    let line = String::from_utf8(buf)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    Ok(Some(BoundedLine::Ok(line)))
 }
 
 /// Accept loop for a TCP listener. Each connection gets its own serving

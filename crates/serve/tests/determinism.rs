@@ -48,6 +48,31 @@ fn cold_and_warmed_cache_produce_identical_bytes() {
     common::assert_cache_state_invariant(&request_batch());
 }
 
+/// A request with a duplicate key is answered for the member its cache key
+/// keeps (the last), so it cannot store one answer under another request's
+/// slot: a plain request that follows it on the same engine gets the
+/// bytes a fresh engine computes.
+#[test]
+fn duplicate_keys_cannot_poison_the_cache() {
+    let duplicate = r#"{"id":1,"kind":"prove","preset":"fast_test","preset":"low_q"}"#;
+    let plain = r#"{"id":2,"kind":"prove","preset":"low_q"}"#;
+    let shared = common::engine(1, 256);
+    let first = shared.submit_line(duplicate).wait();
+    let replayed = shared.submit_line(plain).wait();
+    assert_eq!(
+        shared.counters().cache_hits,
+        1,
+        "both spellings share a slot"
+    );
+    let fresh = common::engine(1, 256);
+    let computed = fresh.submit_line(plain).wait();
+    assert!(computed.contains("\"preset\":\"low_q\""), "{computed}");
+    assert_eq!(replayed, computed, "the cache answered another request");
+    assert_eq!(first.replace("\"id\":1", "\"id\":2"), computed);
+    shared.shutdown();
+    fresh.shutdown();
+}
+
 #[test]
 fn submission_order_does_not_change_any_response() {
     let lines = request_batch();
