@@ -19,7 +19,10 @@ use lcosc_device::comparator::WindowComparator;
 pub struct WindowAblation {
     /// Total relative window width.
     pub window: f64,
-    /// Tick at which the code settled (None = regulation oscillates).
+    /// First tick after which the code stays within ±1 of its final value
+    /// ([`settling_tick`]'s rule), so ±1 hunting counts as settled: read
+    /// `activity` to tell a quiet loop from a hunting one. `None` = the code
+    /// never comes to rest within ±1.
     pub settling_tick: Option<usize>,
     /// Mean absolute code activity per tick in steady state.
     pub activity: f64,

@@ -388,9 +388,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     for r in &window {
         println!(
-            "window {:.0} %: settling tick {}",
+            "window {:.0} %: settling tick {}, activity {:.2} codes/tick",
             100.0 * r.window,
-            tick_or_never(r.settling_tick)
+            tick_or_never(r.settling_tick),
+            r.activity
         );
     }
     for r in ablation::dac_law_comparison() {
@@ -485,7 +486,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// A settling tick, or `never` for a loop that keeps hunting.
+/// A settling tick, or `never` for a code that never comes to rest within
+/// ±1 of its final value (±1 hunting counts as settled).
 fn tick_or_never(tick: Option<usize>) -> String {
     tick.map_or_else(|| "never".to_owned(), |t| t.to_string())
 }

@@ -17,13 +17,12 @@
 //!   to solver tolerance, not bitwise, but the sparse path itself is a
 //!   pure function of (pattern, values) and therefore bit-identical across
 //!   runs and thread counts;
-//! - [`SolverPath::Reference`] (also selectable via the environment
-//!   variable `LCOSC_SOLVER=reference`) takes a fresh dense workspace every
-//!   step and runs a full Newton solve even on linear decks.
+//! - [`SolverPath::Reference`] takes a fresh dense workspace every step
+//!   and runs a full Newton solve even on linear decks.
 //!
 //! [`SolverPath::Auto`] (the default) picks dense below
 //! [`SPARSE_MIN_UNKNOWNS`] MNA unknowns and sparse at or above it (linear
-//! decks only); `LCOSC_SOLVER=dense|sparse` forces either choice. See
+//! decks only); any other value runs exactly the path it names. See
 //! `DESIGN.md` §9 and §13 and the differential suites in
 //! `crates/circuit/tests/solver_differential.rs` and
 //! `crates/circuit/tests/sparse_differential.rs`.
@@ -53,8 +52,6 @@ pub enum SolverPath {
     /// [`SPARSE_MIN_UNKNOWNS`] unknowns, the sparse solver at or above it
     /// (linear decks only — nonlinear decks stay dense, where partial
     /// pivoting is the safer default).
-    /// Overridden by the environment variable `LCOSC_SOLVER` when set to
-    /// `reference`, `dense` or `sparse`; unrecognized values are ignored.
     #[default]
     Auto,
     /// Force the dense solver regardless of deck size.
@@ -536,41 +533,14 @@ pub fn run_transient(nl: &Netlist, opts: &TransientOptions) -> Result<TransientR
     Ok(result)
 }
 
-/// The solver path forced by the `LCOSC_SOLVER` environment variable, if
-/// any. Recognized values: `reference`, `dense`, `sparse`. Anything else —
-/// including the historical typo-guard cases — is ignored, leaving the
-/// caller's configured path in charge.
-pub(crate) fn solver_path_forced() -> Option<SolverPath> {
-    let v = std::env::var_os("LCOSC_SOLVER")?;
-    if v == "reference" {
-        Some(SolverPath::Reference)
-    } else if v == "dense" {
-        Some(SolverPath::Dense)
-    } else if v == "sparse" {
-        Some(SolverPath::Sparse)
-    } else {
-        None
-    }
-}
-
-/// Whether the `LCOSC_SOLVER` hatch moves a run configured for `pinned`
-/// onto another path. Assertions about which path ran, or about that
-/// path's counters, hold only when it does not; bit comparisons between
-/// two runs hold either way, since both take the forced path.
-#[cfg(test)]
-pub(crate) fn hatch_overrides(pinned: SolverPath) -> bool {
-    solver_path_forced().is_some_and(|forced| forced != pinned)
-}
-
-/// Resolves the effective solver path: the environment hatch wins over the
-/// configured path, then [`SolverPath::Auto`] picks dense below
-/// [`SPARSE_MIN_UNKNOWNS`] unknowns and sparse at or above it — linear
-/// decks only. Nonlinear decks stay dense under `Auto`: an off-state device
-/// can zero a conductance that the structure-only sparse pivot order relies
-/// on, where dense partial pivoting recovers.
+/// Resolves the effective solver path: an explicit path is taken as given;
+/// [`SolverPath::Auto`] picks dense below [`SPARSE_MIN_UNKNOWNS`] unknowns
+/// and sparse at or above it — linear decks only. Nonlinear decks stay
+/// dense under `Auto`: an off-state device can zero a conductance that the
+/// structure-only sparse pivot order relies on, where dense partial
+/// pivoting recovers.
 fn resolve_solver_path(configured: SolverPath, nl: &Netlist) -> SolverPath {
-    let requested = solver_path_forced().unwrap_or(configured);
-    match requested {
+    match configured {
         SolverPath::Auto => {
             if nl.unknown_count() >= SPARSE_MIN_UNKNOWNS && nl.is_linear() {
                 SolverPath::Sparse
@@ -578,7 +548,7 @@ fn resolve_solver_path(configured: SolverPath, nl: &Netlist) -> SolverPath {
                 SolverPath::Dense
             }
         }
-        forced => forced,
+        explicit => explicit,
     }
 }
 
@@ -813,9 +783,6 @@ mod tests {
         nl.inductor(a, Netlist::GROUND, 1e-6);
         let opts = TransientOptions::new(5e-9, 5e-6);
         let res = run_transient(&nl, &opts).unwrap();
-        if hatch_overrides(SolverPath::Dense) {
-            return; // `Auto` resolves this 1-node deck to dense
-        }
         let s = res.stats();
         assert!(s.used_linear_fast_path);
         assert_eq!(s.factorizations, 1);
@@ -833,9 +800,6 @@ mod tests {
         let mut opts = TransientOptions::new(5e-9, 5e-6);
         opts.solver = SolverPath::Reference;
         let res = run_transient(&nl, &opts).unwrap();
-        if hatch_overrides(SolverPath::Reference) {
-            return;
-        }
         let s = res.stats();
         assert!(!s.used_linear_fast_path);
         assert_eq!(s.factorizations, s.newton_iterations);
@@ -845,9 +809,6 @@ mod tests {
 
     #[test]
     fn nonlinear_deck_uses_workspace_newton_without_allocating() {
-        if solver_path_forced() == Some(SolverPath::Reference) {
-            return; // dense and sparse Newton both keep their workspace
-        }
         let mut nl = Netlist::new();
         let vin = nl.node("vin");
         let out = nl.node("out");
@@ -953,9 +914,6 @@ mod tests {
 
     #[test]
     fn resolve_solver_path_auto_splits_on_size_and_linearity() {
-        if solver_path_forced().is_some() {
-            return;
-        }
         let small = crate::workloads::rc_ladder(4);
         assert_eq!(
             resolve_solver_path(SolverPath::Auto, &small),
@@ -1007,9 +965,6 @@ mod tests {
         opts.solver = SolverPath::Sparse;
         let mut dense_opts = TransientOptions::new(1e-9, 50e-9);
         dense_opts.solver = SolverPath::Dense;
-        if solver_path_forced().is_some() {
-            return;
-        }
         let sparse = run_transient(&nl, &opts).unwrap();
         let dense = run_transient(&nl, &dense_opts).unwrap();
         assert!(sparse.stats().used_sparse_path);

@@ -120,7 +120,7 @@ pub fn pad_driver_array(cells: usize) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::transient::{solver_path_forced, SPARSE_MIN_UNKNOWNS};
+    use crate::analysis::transient::SPARSE_MIN_UNKNOWNS;
     use crate::netlist::NodeId;
     use crate::{netlist_from_json, netlist_to_json, run_transient, TransientOptions};
 
@@ -164,9 +164,6 @@ mod tests {
 
     #[test]
     fn small_workloads_solve_on_the_dense_path() {
-        if solver_path_forced().is_some() {
-            return;
-        }
         let nl = coupled_tank_network(4);
         let res = run_transient(&nl, &TransientOptions::new(20e-9, 4e-6)).unwrap();
         let s = res.stats();
@@ -179,9 +176,6 @@ mod tests {
 
     #[test]
     fn large_ladder_solves_on_the_sparse_path() {
-        if solver_path_forced().is_some() {
-            return;
-        }
         let nl = rc_ladder(200);
         let res = run_transient(&nl, &TransientOptions::new(10e-9, 1e-6)).unwrap();
         let s = res.stats();

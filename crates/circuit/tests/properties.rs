@@ -2,7 +2,7 @@
 //! solution invariants on randomized linear networks.
 
 use lcosc_circuit::analysis::dc::solve_dc;
-use lcosc_circuit::analysis::transient::{run_transient, TransientOptions};
+use lcosc_circuit::analysis::transient::{run_transient, SolverPath, TransientOptions};
 use lcosc_circuit::netlist::{Netlist, Waveform};
 use proptest::prelude::*;
 
@@ -61,7 +61,8 @@ proptest! {
         prop_assert!((both - sum).abs() < 1e-9, "{both} vs {sum}");
     }
 
-    /// An RC transient always relaxes monotonically toward the source.
+    /// An RC transient always relaxes monotonically toward the source, on
+    /// every solver path.
     #[test]
     fn rc_step_is_monotone(r_k in 0.1f64..100.0, c_n in 0.1f64..100.0) {
         let r = r_k * 1e3;
@@ -73,14 +74,22 @@ proptest! {
         nl.voltage_source(vin, Netlist::GROUND, Waveform::Dc(1.0));
         nl.resistor(vin, out, r);
         nl.capacitor(out, Netlist::GROUND, c);
-        let opts = TransientOptions::new(tau / 50.0, 3.0 * tau);
-        let res = run_transient(&nl, &opts).expect("stable network");
-        let trace = res.voltage_trace(out);
-        for w in trace.windows(2) {
-            prop_assert!(w[1] >= w[0] - 1e-9, "non-monotone {} -> {}", w[0], w[1]);
+        for solver in [
+            SolverPath::Auto,
+            SolverPath::Dense,
+            SolverPath::Sparse,
+            SolverPath::Reference,
+        ] {
+            let mut opts = TransientOptions::new(tau / 50.0, 3.0 * tau);
+            opts.solver = solver;
+            let res = run_transient(&nl, &opts).expect("stable network");
+            let trace = res.voltage_trace(out);
+            for w in trace.windows(2) {
+                prop_assert!(w[1] >= w[0] - 1e-9, "{solver:?} non-monotone {} -> {}", w[0], w[1]);
+            }
+            let last = *trace.last().expect("non-empty");
+            prop_assert!((last - (1.0 - (-3.0f64).exp())).abs() < 0.02, "{solver:?}: {last}");
         }
-        let last = *trace.last().expect("non-empty");
-        prop_assert!((last - (1.0 - (-3.0f64).exp())).abs() < 0.02, "{last}");
     }
 
     /// Passivity: a resistive network never outputs more than the source

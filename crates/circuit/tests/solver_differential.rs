@@ -19,25 +19,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The path the `LCOSC_SOLVER` hatch forces every run onto, if any (the
-/// three spellings `run_transient` recognizes).
-fn forced_path() -> Option<SolverPath> {
-    match std::env::var("LCOSC_SOLVER").ok()?.as_str() {
-        "reference" => Some(SolverPath::Reference),
-        "dense" => Some(SolverPath::Dense),
-        "sparse" => Some(SolverPath::Sparse),
-        _ => None,
-    }
-}
-
-/// Whether the hatch moves a run configured for `pinned` onto another
-/// path. Assertions about which path ran, or about that path's counters,
-/// hold only when it does not; the bit comparisons hold either way, since
-/// both runs of a pair then take the forced path.
-fn hatch_overrides(pinned: SolverPath) -> bool {
-    forced_path().is_some_and(|forced| forced != pinned)
-}
-
 fn assert_bit_identical(fast: &TransientResult, reference: &TransientResult, label: &str) {
     assert!(
         bits_equal(fast.times(), reference.times()),
@@ -131,8 +112,8 @@ fn linear_tank_is_bit_identical_under_both_integrators() {
         let (fast, reference) = run_both(&nl, &opts);
         assert_bit_identical(&fast, &reference, &format!("tank/{integrator:?}"));
         // `Auto` resolves this small linear deck to dense.
-        assert!(fast.stats().used_linear_fast_path || hatch_overrides(SolverPath::Dense));
-        assert!(!reference.stats().used_linear_fast_path || hatch_overrides(SolverPath::Reference));
+        assert!(fast.stats().used_linear_fast_path);
+        assert!(!reference.stats().used_linear_fast_path);
     }
 }
 
@@ -173,9 +154,6 @@ fn linear_fast_path_counters_prove_single_factorization_and_no_allocs() {
     let nl = tank();
     let opts = TransientOptions::new(5e-9, 10e-6);
     let res = run_transient(&nl, &opts).expect("converges");
-    if hatch_overrides(SolverPath::Dense) {
-        return; // the hatch moved the run off the path under test
-    }
     let s = res.stats();
     assert!(s.used_linear_fast_path);
     assert_eq!(s.factorizations, 1, "one LU for the whole transient");
@@ -188,9 +166,6 @@ fn linear_fast_path_counters_prove_single_factorization_and_no_allocs() {
 
 #[test]
 fn nonlinear_fast_path_reuses_workspace() {
-    if forced_path() == Some(SolverPath::Reference) {
-        return; // dense and sparse Newton both keep their workspace
-    }
     let nl = diode_deck();
     let opts = TransientOptions::new(1e-8, 2e-6);
     let res = run_transient(&nl, &opts).expect("converges");
@@ -210,9 +185,6 @@ fn reference_path_attributes_per_step_allocations() {
     let mut opts = TransientOptions::new(5e-9, 2e-6);
     opts.solver = SolverPath::Reference;
     let res = run_transient(&nl, &opts).expect("converges");
-    if hatch_overrides(SolverPath::Reference) {
-        return; // the hatch moved the run off the path under test
-    }
     let s = res.stats();
     assert!(s.post_warmup_allocations > 0);
     assert_eq!(s.factor_reuses, 0);

@@ -26,13 +26,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Whether `LCOSC_SOLVER` is overriding path selection. Both runs of a
-/// comparison then take the forced path, so the comparisons still hold;
-/// only the assertions about which path ran, and its counters, do not.
-fn hatch_forced() -> bool {
-    std::env::var_os("LCOSC_SOLVER").is_some()
-}
-
 fn assert_bits_identical(a: &TransientResult, b: &TransientResult, label: &str) {
     assert!(bits_equal(a.times(), b.times()), "{label}: times diverged");
     assert!(
@@ -66,9 +59,26 @@ fn run_with(nl: &Netlist, opts: &TransientOptions, path: SolverPath) -> Transien
     run_transient(nl, &o).expect("transient run")
 }
 
-/// Every workload deck, with options sized for a quick but non-trivial run.
+/// Paper-shaped series tank ring-down (3 nodes, 4 unknowns): a deck far
+/// below [`SPARSE_MIN_UNKNOWNS`] that only an explicit `Sparse` solves
+/// sparse.
+fn tank() -> Netlist {
+    let mut nl = Netlist::new();
+    let lc1 = nl.node("lc1");
+    let lc2 = nl.node("lc2");
+    let mid = nl.node("mid");
+    nl.capacitor_ic(lc1, Netlist::GROUND, 2e-9, 1.0);
+    nl.capacitor_ic(lc2, Netlist::GROUND, 2e-9, -1.0);
+    nl.inductor(lc1, mid, 25e-6);
+    nl.resistor(mid, lc2, 15.0);
+    nl
+}
+
+/// Every workload deck plus the small tank, with options sized for a quick
+/// but non-trivial run.
 fn decks() -> Vec<(&'static str, Netlist, TransientOptions)> {
     vec![
+        ("tank", tank(), TransientOptions::new(5e-9, 5e-6)),
         (
             "rc_ladder_120",
             rc_ladder(120),
@@ -95,10 +105,8 @@ fn sparse_agrees_with_dense_within_tolerance_on_all_decks() {
             o.integrator = integrator;
             let dense = run_with(&nl, &o, SolverPath::Dense);
             let sparse = run_with(&nl, &o, SolverPath::Sparse);
-            if !hatch_forced() {
-                assert!(sparse.stats().used_sparse_path, "{label}: path not taken");
-                assert!(!dense.stats().used_sparse_path);
-            }
+            assert!(sparse.stats().used_sparse_path, "{label}: path not taken");
+            assert!(!dense.stats().used_sparse_path);
             assert_close(&sparse, &dense, label);
         }
     }
@@ -122,7 +130,7 @@ fn auto_matches_forced_sparse_bit_for_bit_above_threshold() {
     let opts = TransientOptions::new(2e-9, 200e-9);
     let auto = run_with(&nl, &opts, SolverPath::Auto);
     let forced = run_with(&nl, &opts, SolverPath::Sparse);
-    assert!(auto.stats().used_sparse_path || hatch_forced());
+    assert!(auto.stats().used_sparse_path);
     assert_bits_identical(&auto, &forced, "auto-vs-forced-sparse");
 }
 
@@ -133,15 +141,12 @@ fn auto_stays_dense_below_threshold_and_matches_dense_exactly() {
     let opts = TransientOptions::new(2e-9, 200e-9);
     let auto = run_with(&nl, &opts, SolverPath::Auto);
     let dense = run_with(&nl, &opts, SolverPath::Dense);
-    assert!(!auto.stats().used_sparse_path || hatch_forced());
+    assert!(!auto.stats().used_sparse_path);
     assert_bits_identical(&auto, &dense, "auto-vs-forced-dense");
 }
 
 #[test]
 fn sparse_counters_prove_symbolic_and_numeric_reuse() {
-    if hatch_forced() {
-        return;
-    }
     let nl = coupled_tank_network(80);
     let opts = TransientOptions::new(20e-9, 4e-6);
     let res = run_with(&nl, &opts, SolverPath::Sparse);

@@ -24,20 +24,6 @@ pub enum Fidelity {
     MultiRate,
 }
 
-/// Fidelity override requested through the `LCOSC_FIDELITY` environment
-/// variable: `full`/`cycle`, `envelope` or `multirate`. Any other value —
-/// including unset — returns `None` and leaves configurations untouched.
-/// The hatch mirrors `LCOSC_SOLVER`: an end-to-end escape valve to pin the
-/// whole process to one fidelity when triaging a multi-rate divergence.
-pub fn fidelity_forced() -> Option<Fidelity> {
-    match std::env::var("LCOSC_FIDELITY").ok()?.as_str() {
-        "full" | "cycle" => Some(Fidelity::Cycle),
-        "envelope" => Some(Fidelity::Envelope),
-        "multirate" => Some(Fidelity::MultiRate),
-        _ => None,
-    }
-}
-
 /// Full configuration of the regulated oscillator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OscillatorConfig {

@@ -50,7 +50,7 @@ pub mod tank;
 pub mod thresholds;
 
 pub use condition::OscillationCondition;
-pub use config::{fidelity_forced, Fidelity, OscillatorConfig};
+pub use config::{Fidelity, OscillatorConfig};
 pub use detector::AmplitudeDetector;
 pub use emc::{analyze_emissions, EmissionReport};
 pub use envelope::EnvelopeModel;

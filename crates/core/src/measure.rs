@@ -123,6 +123,8 @@ mod tests {
         // 10, 20, ..., then hovers around 61/60.
         let codes = [10u8, 20, 30, 40, 50, 60, 61, 60, 61, 60];
         assert_eq!(settling_tick(&codes), Some(5));
+        // ±1 hunting around the final code is settled from the first tick.
+        assert_eq!(settling_tick(&[5u8, 6, 5, 6, 5, 6]), Some(0));
     }
 
     #[test]

@@ -196,14 +196,7 @@ impl ClosedLoopSim {
     /// Returns [`crate::CoreError::InvalidConfig`] when the configuration
     /// fails validation.
     pub fn new_unchecked(cfg: OscillatorConfig) -> Result<Self> {
-        let mut cfg = cfg;
         cfg.validate()?;
-        // The LCOSC_FIDELITY hatch pins every simulation in the process to
-        // one fidelity — the triage lever for multi-rate divergences,
-        // mirroring LCOSC_SOLVER on the circuit side.
-        if let Some(forced) = crate::config::fidelity_forced() {
-            cfg.fidelity = forced;
-        }
         let driver = GmDriver::new(cfg.driver_shape, 0.0);
         let model = OscillatorModel::new(cfg.tank, driver, cfg.vref).with_rails(cfg.vdd);
         let envelope = EnvelopeModel::new(cfg.tank, driver).with_clamp(cfg.rail_clamp());
@@ -359,11 +352,6 @@ impl ClosedLoopSim {
     /// Recorded history.
     pub fn trace(&self) -> &SimTrace {
         &self.trace
-    }
-
-    /// Consumes the simulation, returning the recorded history.
-    pub fn into_trace(self) -> SimTrace {
-        self.trace
     }
 
     /// Replaces the tank mid-run (component drift / fault injection).

@@ -83,11 +83,6 @@ impl Complex {
     /// The imaginary unit.
     pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Phase angle in radians.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)

@@ -52,8 +52,7 @@ impl FmeaReport {
     /// table is a describing-function result — [`Fidelity::Envelope`]
     /// reproduces it — while [`Fidelity::Cycle`] / [`Fidelity::MultiRate`]
     /// report cycle-truth verdicts, which differ on some operating points
-    /// (see `DESIGN.md` §14). The `LCOSC_FIDELITY` env hatch still
-    /// overrides whatever is passed here.
+    /// (see `DESIGN.md` §14).
     ///
     /// # Errors
     ///

@@ -41,8 +41,8 @@ pub use fault::Fault;
 pub use fmea::{FmeaEntry, FmeaReport, FmeaRun};
 pub use safe_state::{SafeStateController, SystemOutputs};
 pub use scenario::{
-    check_scenario, detector_id, run_scenario, run_scenario_mission, run_scenario_unchecked,
-    run_scenario_with_trace, safety_facts, ScenarioResult, SCENARIO_POST_FAULT_TICKS,
+    check_scenario, detector_id, run_scenario, run_scenario_mission, run_scenario_with_trace,
+    safety_facts, ScenarioResult, SCENARIO_POST_FAULT_TICKS,
 };
 
 /// Errors produced by this crate — wraps the oscillator-core and

@@ -94,17 +94,6 @@ pub fn run_scenario(fault: Fault, base: &OscillatorConfig) -> Result<ScenarioRes
     if report.has_errors() {
         return Err(lcosc_core::CoreError::CheckFailed(report));
     }
-    run_scenario_unchecked(fault, base)
-}
-
-/// [`run_scenario`] without the static verification pass — the escape
-/// hatch for FMEA studies that intentionally inject out-of-spec
-/// parameters. Basic configuration validation still applies.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the simulation setup.
-pub fn run_scenario_unchecked(fault: Fault, base: &OscillatorConfig) -> Result<ScenarioResult> {
     run_scenario_with_trace(fault, base, &Trace::off())
 }
 
@@ -113,7 +102,9 @@ pub fn run_scenario_unchecked(fault: Fault, base: &OscillatorConfig) -> Result<S
 /// tens of ticks).
 pub const SCENARIO_POST_FAULT_TICKS: usize = 150;
 
-/// [`run_scenario_unchecked`] with full observability: the simulation's
+/// [`run_scenario`] without the static verification pass (for FMEA studies
+/// that intentionally inject out-of-spec parameters; basic configuration
+/// validation still applies) and with full observability: the simulation's
 /// regulation loop emits its per-tick event stream into `tracer`, and each
 /// detector that fires adds a [`TraceEvent::DetectorTrip`] whose
 /// `latency_ticks` counts regulation ticks from the fault injection to the
@@ -129,9 +120,7 @@ pub fn run_scenario_with_trace(
 ) -> Result<ScenarioResult> {
     // Multi-rate by default: envelope fidelity between events, cycle
     // fidelity inside guard windows around fault injection, detector
-    // threshold crossings and segment-boundary code steps. The
-    // `LCOSC_FIDELITY` hatch (resolved inside the sim constructor) pins
-    // the run to a single fidelity for divergence triage.
+    // threshold crossings and segment-boundary code steps.
     run_scenario_mission(
         fault,
         base,
@@ -142,11 +131,10 @@ pub fn run_scenario_with_trace(
 }
 
 /// The fully explicit scenario runner: `fidelity` selects the simulation
-/// engine (the `LCOSC_FIDELITY` hatch still wins, as everywhere) and
-/// `post_fault_ticks` sets the observation horizon after the injection —
-/// the multi-rate benchmark stretches it into a long mission profile and
-/// runs the same fault once per fidelity to compare wall-clock at pinned
-/// discrete outcomes.
+/// engine and `post_fault_ticks` sets the observation horizon after the
+/// injection — the multi-rate benchmark stretches it into a long mission
+/// profile and runs the same fault once per fidelity to compare wall-clock
+/// at pinned discrete outcomes.
 ///
 /// # Errors
 ///
@@ -393,7 +381,7 @@ mod tests {
         use std::sync::Arc;
         // Observability must not perturb the physics: the traced run's
         // outcome is identical to the plain one.
-        let plain = run_scenario_unchecked(Fault::CoilShort, &base()).unwrap();
+        let plain = run_scenario_with_trace(Fault::CoilShort, &base(), &Trace::off()).unwrap();
         let sink = Arc::new(MemorySink::new());
         let traced = run_scenario_with_trace(Fault::CoilShort, &base(), &Trace::new(sink)).unwrap();
         assert_eq!(plain, traced);

@@ -1,16 +1,12 @@
 //! Differential harness for the multi-rate engine: every fault in the
 //! FMEA catalog must produce the *same* discrete safety outcome —
 //! triggered detector set, trip latencies, code saturation and the final
-//! regulation code — whether the scenario runs multi-rate (the default)
-//! or pinned to full cycle fidelity via the `LCOSC_FIDELITY` hatch.
-//!
-//! Like `solver_env_hatch` in the circuit crate, this lives in its own
-//! integration binary because it mutates process environment variables,
-//! which would race the parallel test runner inside a shared binary; for
-//! the same reason every assertion lives in the single `#[test]` below.
+//! regulation code — whether the scenario runs multi-rate (the scenario
+//! runner's default) or at full cycle fidelity. Every assertion lives in
+//! the single `#[test]` below, so the cycle reference sweep runs once.
 
-use lcosc_core::OscillatorConfig;
-use lcosc_safety::{run_scenario_with_trace, Fault};
+use lcosc_core::{Fidelity, OscillatorConfig};
+use lcosc_safety::{run_scenario_mission, Fault, SCENARIO_POST_FAULT_TICKS};
 use lcosc_trace::{DetectorId, MemorySink, Trace, TraceEvent};
 use std::sync::Arc;
 
@@ -36,9 +32,10 @@ struct Outcome {
     trip_latencies: Vec<(DetectorId, u64)>,
 }
 
-fn outcome(fault: Fault, cfg: &OscillatorConfig) -> Outcome {
+fn outcome(fault: Fault, cfg: &OscillatorConfig, fidelity: Fidelity) -> Outcome {
     let sink = Arc::new(MemorySink::new());
-    let r = run_scenario_with_trace(fault, cfg, &Trace::new(sink.clone()))
+    let trace = Trace::new(sink.clone());
+    let r = run_scenario_mission(fault, cfg, &trace, fidelity, SCENARIO_POST_FAULT_TICKS)
         .unwrap_or_else(|e| panic!("scenario {fault} failed: {e}"));
     let events = sink.snapshot();
     let final_code = events
@@ -74,10 +71,10 @@ fn outcome(fault: Fault, cfg: &OscillatorConfig) -> Outcome {
     }
 }
 
-fn sweep(cfg: &OscillatorConfig) -> Vec<(Fault, Outcome)> {
+fn sweep(cfg: &OscillatorConfig, fidelity: Fidelity) -> Vec<(Fault, Outcome)> {
     Fault::catalog()
         .into_iter()
-        .map(|f| (f, outcome(f, cfg)))
+        .map(|f| (f, outcome(f, cfg, fidelity)))
         .collect()
 }
 
@@ -95,12 +92,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn multirate_catalog_matches_full_fidelity() {
     let cfg = short_cfg();
 
-    // Reference sweep: the env hatch pins every construction in this
-    // process to full cycle fidelity, overriding the scenario runner's
-    // multi-rate default.
-    std::env::set_var("LCOSC_FIDELITY", "full");
-    let reference = sweep(&cfg);
-    std::env::remove_var("LCOSC_FIDELITY");
+    let reference = sweep(&cfg, Fidelity::Cycle);
     assert_eq!(reference.len(), 11, "FMEA catalog is exhaustive");
 
     // Every catalog fault must be caught (or safely regulated) by the
@@ -111,19 +103,13 @@ fn multirate_catalog_matches_full_fidelity() {
 
     // Multi-rate sweep (the default fidelity of the scenario runner):
     // discrete outcomes must match the full-fidelity reference 1:1.
-    let multirate = sweep(&cfg);
+    let multirate = sweep(&cfg, Fidelity::MultiRate);
     for ((fault, full), (_, mr)) in reference.iter().zip(&multirate) {
         assert_eq!(
             full, mr,
             "multi-rate diverged from full fidelity on {fault}"
         );
     }
-
-    // An unrecognized hatch value leaves the multi-rate default alone.
-    std::env::set_var("LCOSC_FIDELITY", "warp-speed");
-    let dflt = outcome(Fault::DriverDead, &cfg);
-    std::env::remove_var("LCOSC_FIDELITY");
-    assert_eq!(dflt, multirate[10].1, "bad hatch value must be ignored");
 
     // Property: the exact placement of envelope↔cycle hand-offs is an
     // implementation detail — jittering the guard-window width and the
@@ -135,7 +121,7 @@ fn multirate_catalog_matches_full_fidelity() {
         jcfg.multirate.guard_ticks = 1 + (splitmix64(&mut state) % 5) as u32;
         jcfg.multirate.handoff_rel_tol = 0.02 + (splitmix64(&mut state) % 9) as f64 * 0.01;
         jcfg.multirate.boundary_margin = 0.02 + (splitmix64(&mut state) % 7) as f64 * 0.01;
-        let jittered = sweep(&jcfg);
+        let jittered = sweep(&jcfg, Fidelity::MultiRate);
         for ((fault, full), (_, jit)) in reference.iter().zip(&jittered) {
             assert_eq!(
                 full, jit,

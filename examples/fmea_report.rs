@@ -17,9 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // analysis, so this reproduction pins that fidelity explicitly.
     // Cycle-accurate simulation disagrees on the datasheet tank: a pin
     // leak fools the single-pin amplitude detector and the loop pumps
-    // the differential amplitude ~65 % over target, undetected — run
-    // with `LCOSC_FIDELITY=cycle` (or `multirate`, which reproduces the
-    // cycle verdicts; see DESIGN.md §14) to see that finding.
+    // the differential amplitude ~65 % over target, undetected — call
+    // `FmeaReport::run_at(&config, Fidelity::Cycle)` (or
+    // `Fidelity::MultiRate`, which reproduces the cycle verdicts; see
+    // DESIGN.md §14) to see that finding.
     let report = FmeaReport::run_at(&config, Fidelity::Envelope)?;
     println!("{report}");
 

@@ -126,9 +126,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 /// analysis or reuses it.
 #[test]
 fn sparse_fleet_is_bit_identical_threads_1_vs_4() {
-    if std::env::var_os("LCOSC_SOLVER").is_some() {
-        return; // the hatch overrides the path this test pins
-    }
     const JOBS: usize = 24;
     let decks: Vec<Netlist> = (0..JOBS)
         .map(|k| coupled_tank_network_scaled(48, 0.9 + 0.01 * k as f64))

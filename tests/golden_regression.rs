@@ -161,9 +161,6 @@ fn series_digest(series: &[&[f64]]) -> Json {
 /// what the process solved before.
 #[test]
 fn solver_paths_are_stable() {
-    if std::env::var_os("LCOSC_SOLVER").is_some() {
-        return; // the hatch overrides the paths this fixture pins
-    }
     let spice = |name: &str| {
         let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", "spice", name]
             .iter()
@@ -254,9 +251,6 @@ fn solver_paths_are_stable() {
 /// `LinearSaturate` with rails, under multi-rate.
 #[test]
 fn cycle_step_paths_are_stable() {
-    if std::env::var_os("LCOSC_FIDELITY").is_some() {
-        return; // the hatch overrides the fidelity the loop cases pin
-    }
     let cfg = OscillatorConfig::fast_test();
     let linear = DriverShape::LinearSaturate { gm: 10e-3 };
     let tanh = DriverShape::Tanh { gm: 10e-3 };
