@@ -5,7 +5,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Writes rows of `f64` columns with a header to `path` (directories are
-/// created as needed).
+/// created as needed). Each value is written in the shortest scientific
+/// form that parses back to the same `f64`, so a one-ulp change to any
+/// value changes the file's bytes.
 ///
 /// # Errors
 ///
@@ -27,7 +29,7 @@ pub fn write_csv(
             if !first {
                 body.push(',');
             }
-            let _ = write!(body, "{v:.9e}");
+            let _ = write!(body, "{v:e}");
             first = false;
         }
         body.push('\n');
@@ -48,6 +50,20 @@ mod tests {
         let s = std::fs::read_to_string(&path).unwrap();
         assert!(s.starts_with("a,b\n"));
         assert_eq!(s.lines().count(), 3);
+        assert_eq!(s, "a,b\n1e0,2e0\n3e0,4e0\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn values_round_trip_to_the_bit() {
+        let dir = std::env::temp_dir().join("lcosc_csv_round_trip");
+        let path = dir.join("t.csv");
+        let v: f64 = 2.771613091234567;
+        let next = f64::from_bits(v.to_bits() + 1);
+        write_csv(&path, &["v"], vec![vec![v], vec![next]]).unwrap();
+        let s = std::fs::read_to_string(&path).unwrap();
+        let parsed: Vec<f64> = s.lines().skip(1).map(|l| l.parse().unwrap()).collect();
+        assert_eq!(parsed, vec![v, next]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
