@@ -22,8 +22,9 @@ use crate::work::execute;
 use lcosc_campaign::{digest_bytes, Json};
 use lcosc_trace::{ServeKind, ServeStatus, Trace, TraceEvent};
 use std::borrow::Cow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -588,28 +589,9 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
 
 fn run_job(job: Job, shared: &Arc<Shared>) {
     let kind = job.request.kind();
-    // The compute runs on a disposable thread so a deadline overrun frees
-    // this worker slot immediately; the abandoned thread's late result is
-    // sent into a dropped receiver and discarded.
-    let (done_tx, done_rx) = mpsc::sync_channel(1);
     let request = job.request;
-    let spawned = thread::Builder::new()
-        .name("lcosc-serve-job".to_string())
-        .spawn(move || {
-            let _ = done_tx.send(execute(&request));
-        });
-    let outcome = match spawned {
-        Ok(_) => done_rx.recv_timeout(shared.deadline),
-        Err(e) => Ok(Err(format!("failed to spawn compute thread: {e}"))),
-    };
-    let failed = |status, message| {
-        (
-            status,
-            response_line(&job.id, status, &Body::Error(message)),
-        )
-    };
-    let (status, line) = match outcome {
-        Ok(Ok(payload)) => {
+    let (status, line) = match run_compute(move || execute(&request), shared.deadline) {
+        Ok(payload) => {
             let rendered = payload.render();
             let line = result_line(&job.id, &rendered);
             let mut cache = shared
@@ -619,8 +601,10 @@ fn run_job(job: Job, shared: &Arc<Shared>) {
             cache.insert(job.digest, &job.canonical, rendered);
             (ServeStatus::Ok, line)
         }
-        Ok(Err(message)) => failed(ServeStatus::Error, message),
-        Err(_) => failed(ServeStatus::Timeout, "deadline exceeded".to_string()),
+        Err((status, message)) => (
+            status,
+            response_line(&job.id, status, &Body::Error(message)),
+        ),
     };
     shared.finish(
         kind,
@@ -631,6 +615,55 @@ fn run_job(job: Job, shared: &Arc<Shared>) {
     );
     // The client may have hung up; a dead reply channel is not an error.
     let _ = job.reply.send(line);
+}
+
+/// Runs `compute` on a disposable thread and waits for it up to
+/// `deadline`, so an overrun frees the calling worker slot at once; the
+/// abandoned thread's late result is sent into a dropped receiver and
+/// discarded. A compute that returns an error, or panics, answers
+/// [`ServeStatus::Error`] with its message; only a compute still running
+/// at the deadline answers [`ServeStatus::Timeout`].
+fn run_compute<F>(compute: F, deadline: Duration) -> Result<Json, (ServeStatus, String)>
+where
+    F: FnOnce() -> Result<Json, String> + Send + 'static,
+{
+    let (done_tx, done_rx) = mpsc::sync_channel(1);
+    let spawned = thread::Builder::new()
+        .name("lcosc-serve-job".to_string())
+        .spawn(move || {
+            let result = panic::catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|payload| {
+                Err(format!("compute panicked: {}", panic_message(&*payload)))
+            });
+            let _ = done_tx.send(result);
+        });
+    if let Err(e) = spawned {
+        return Err((
+            ServeStatus::Error,
+            format!("failed to spawn compute thread: {e}"),
+        ));
+    }
+    match done_rx.recv_timeout(deadline) {
+        Ok(result) => result.map_err(|message| (ServeStatus::Error, message)),
+        Err(RecvTimeoutError::Timeout) => {
+            Err((ServeStatus::Timeout, "deadline exceeded".to_string()))
+        }
+        Err(RecvTimeoutError::Disconnected) => Err((
+            ServeStatus::Error,
+            "compute thread ended without a result".to_string(),
+        )),
+    }
+}
+
+/// The message a panic was raised with (`panic!` carries a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 #[cfg(test)]
@@ -720,6 +753,43 @@ mod tests {
         // The job admitted before the drain still completes.
         assert!(ok.wait().contains("\"status\":\"ok\""));
         e.shutdown();
+    }
+
+    #[test]
+    fn a_panicked_compute_answers_error_not_timeout() {
+        let deadline = Duration::from_secs(10);
+        let outcome = run_compute(|| panic!("amplitude must be positive"), deadline);
+        assert_eq!(
+            outcome,
+            Err((
+                ServeStatus::Error,
+                "compute panicked: amplitude must be positive".to_string()
+            ))
+        );
+        let formatted = run_compute(|| panic!("code {} out of range", 64), deadline);
+        assert_eq!(
+            formatted,
+            Err((
+                ServeStatus::Error,
+                "compute panicked: code 64 out of range".to_string()
+            ))
+        );
+        // Only a compute still running at the deadline is a timeout.
+        let slow = run_compute(
+            || {
+                thread::sleep(Duration::from_millis(200));
+                Ok(Json::Null)
+            },
+            Duration::from_millis(10),
+        );
+        assert_eq!(
+            slow,
+            Err((ServeStatus::Timeout, "deadline exceeded".to_string()))
+        );
+        assert_eq!(
+            run_compute(|| Ok(Json::from(true)), deadline),
+            Ok(Json::from(true))
+        );
     }
 
     #[test]
