@@ -91,13 +91,17 @@ impl LcTank {
     }
 
     /// Returns a copy with a different series resistance (loss drift
-    /// faults).
+    /// studies with known-good values; [`LcTank::new`] is the validating
+    /// constructor for untrusted ones).
     ///
     /// # Panics
     ///
-    /// Panics if `rs` is not positive.
+    /// Panics if `rs` is not positive and finite.
     pub fn with_rs(mut self, rs: Ohms) -> Self {
-        assert!(rs.value() > 0.0, "series resistance must be positive");
+        assert!(
+            rs.value() > 0.0 && rs.value().is_finite(),
+            "series resistance must be positive"
+        );
         self.rs = rs.value();
         self
     }

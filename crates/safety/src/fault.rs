@@ -1,6 +1,7 @@
 //! Fault taxonomy for the FMEA (paper §7).
 
 use lcosc_core::tank::LcTank;
+use lcosc_core::CoreError;
 use lcosc_num::units::{Farads, Ohms};
 
 /// Residual capacitance left on a pin when its external capacitor is
@@ -65,33 +66,41 @@ impl Fault {
     }
 
     /// The faulted tank, when the fault acts on the external network.
-    /// Returns `None` for faults that do not modify the tank itself.
+    /// Returns `None` for faults that do not modify the tank itself, and
+    /// for a fault whose tank is not valid (see
+    /// [`Fault::try_faulted_tank`], which says why).
     pub fn faulted_tank(&self, nominal: &LcTank) -> Option<LcTank> {
-        match self {
+        self.try_faulted_tank(nominal).ok().flatten()
+    }
+
+    /// The faulted tank, built through the validating [`LcTank::new`]:
+    /// `Ok(None)` for faults that do not modify the tank itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] when the faulted values are not
+    /// a valid tank — an Rs drift whose product overflows to infinity
+    /// names the series resistance.
+    pub fn try_faulted_tank(&self, nominal: &LcTank) -> Result<Option<LcTank>, CoreError> {
+        let (l, c1, c2, rs) = (nominal.l(), nominal.c1(), nominal.c2(), nominal.rs());
+        let faulted = match self {
             // A hard turn-to-turn short collapses the inductance and the
             // shorted loop dissipates heavily: the critical transconductance
             // rises ~100×, beyond what even all nine Gm stages can deliver
             // on a good tank — the loop saturates and amplitude collapses.
-            Fault::CoilShort => Some(
-                LcTank::new(
-                    nominal.l() * 0.1,
-                    nominal.c1(),
-                    nominal.c2(),
-                    nominal.rs() * 10.0,
-                )
-                .expect("scaled tank is valid"),
-            ),
+            Fault::CoilShort => LcTank::new(l * 0.1, c1, c2, rs * 10.0),
             Fault::MissingCapacitor { pin } => {
                 let (c1, c2) = if *pin == 0 {
-                    (Farads(PARASITIC_CAP), nominal.c2())
+                    (Farads(PARASITIC_CAP), c2)
                 } else {
-                    (nominal.c1(), Farads(PARASITIC_CAP))
+                    (c1, Farads(PARASITIC_CAP))
                 };
-                Some(LcTank::new(nominal.l(), c1, c2, nominal.rs()).expect("tank is valid"))
+                LcTank::new(l, c1, c2, rs)
             }
-            Fault::RsDrift { factor } => Some(nominal.with_rs(Ohms(nominal.rs().value() * factor))),
-            _ => None,
-        }
+            Fault::RsDrift { factor } => LcTank::new(l, c1, c2, Ohms(rs.value() * factor)),
+            _ => return Ok(None),
+        };
+        faulted.map(Some)
     }
 }
 
@@ -155,6 +164,19 @@ mod tests {
             .unwrap();
         assert!((faulted.rs().value() / nominal.rs().value() - 4.0).abs() < 1e-12);
         assert_eq!(faulted.l(), nominal.l());
+    }
+
+    #[test]
+    fn overflowing_rs_drift_is_a_typed_error() {
+        let nominal = LcTank::datasheet_3mhz();
+        let fault = Fault::RsDrift { factor: f64::MAX };
+        assert_eq!(
+            fault.try_faulted_tank(&nominal),
+            Err(CoreError::InvalidConfig(
+                "series resistance must be positive"
+            ))
+        );
+        assert!(fault.faulted_tank(&nominal).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::fault::Fault;
 use lcosc_core::config::{Fidelity, OscillatorConfig};
 use lcosc_core::detector::RECTIFIER_GAIN;
 use lcosc_core::sim::{ClosedLoopSim, SimEvent};
-use lcosc_core::Result;
+use lcosc_core::{CoreError, Result};
 use lcosc_trace::{DetectorId, Trace, TraceEvent};
 
 /// Maps the safety crate's detector enumeration onto the trace layer's
@@ -148,6 +148,8 @@ pub fn run_scenario_mission(
 ) -> Result<ScenarioResult> {
     let mut cfg = base.clone();
     cfg.fidelity = fidelity;
+    // A tank fault whose values are no valid tank is refused up front.
+    let faulted_tank = fault.try_faulted_tank(&cfg.tank)?;
     let mut sim = ClosedLoopSim::new_unchecked(cfg.clone())?.with_trace(tracer.clone());
 
     // Settle at the healthy operating point.
@@ -167,9 +169,9 @@ pub fn run_scenario_mission(
             sim.inject_pin_leak(pin, SHORT_CONDUCTANCE);
         }
         Fault::CoilShort | Fault::MissingCapacitor { .. } | Fault::RsDrift { .. } => {
-            let tank = fault
-                .faulted_tank(&cfg.tank)
-                .expect("tank fault provides a faulted tank");
+            let tank = faulted_tank.ok_or(CoreError::InvalidConfig(
+                "tank fault provides no faulted tank",
+            ))?;
             sim.inject_tank(tank);
         }
     }

@@ -38,10 +38,15 @@ fn rc_ladder_elements(sections: usize) -> String {
 /// The first transient request's id in [`request_batch`].
 const FIRST_TRANSIENT: usize = 10;
 
+/// The id of [`request_batch`]'s one refused request: an Rs drift whose
+/// product overflows to an infinite series resistance.
+const OVERFLOWING_DRIFT: usize = 13;
+
 /// A mixed request batch covering every cacheable kind. Its transient
 /// requests, from `FIRST_TRANSIENT` on, cover each solver path `Auto`
 /// picks: dense linear (an RC stage), dense Newton (a diode clamp) and
-/// sparse linear (a 70-section ladder, 72 MNA unknowns).
+/// sparse linear (a 70-section ladder, 72 MNA unknowns). The last request,
+/// `OVERFLOWING_DRIFT`, is refused with a typed error.
 fn request_batch() -> Vec<String> {
     let mut lines: Vec<String> = [
         r#"{"id":0,"kind":"scenario","fault":"open_coil"}"#,
@@ -79,6 +84,7 @@ fn request_batch() -> Vec<String> {
         r#"{{"id":12,"kind":"transient","deck":{{"elements":[{}]}},"dt":1e-9,"t_end":2e-8}}"#,
         rc_ladder_elements(70)
     ));
+    lines.push(r#"{"id":13,"kind":"scenario","fault":"rs_drift","factor":1e308}"#.to_string());
     lines
 }
 
@@ -98,10 +104,17 @@ fn responses_are_byte_identical_across_thread_counts() {
     let parallel = engine(4, 256);
     let a = run_batch(&serial, &lines);
     let b = run_batch(&parallel, &lines);
-    for (line, (ra, rb)) in lines.iter().zip(a.iter().zip(&b)) {
+    for (id, (line, (ra, rb))) in lines.iter().zip(a.iter().zip(&b)).enumerate() {
         assert_eq!(ra, rb, "thread-count divergence for {line}");
-        assert!(ra.contains("\"status\":\"ok\""), "{ra}");
+        if id != OVERFLOWING_DRIFT {
+            assert!(ra.contains("\"status\":\"ok\""), "{ra}");
+        }
     }
+    // A panic inside the compute once answered `timeout` here.
+    assert_eq!(
+        a[OVERFLOWING_DRIFT],
+        r#"{"id":13,"status":"error","error":"invalid configuration: series resistance must be positive"}"#
+    );
     // Only the ladder crosses `Auto`'s sparse threshold.
     for (reply, sparse) in a[FIRST_TRANSIENT..].iter().zip([false, false, true]) {
         assert!(
@@ -123,7 +136,8 @@ fn cold_and_warmed_cache_produce_identical_bytes() {
     let uncached = run_batch(&cold, &lines);
     assert_eq!(first, replay, "cache replay changed bytes");
     assert_eq!(first, uncached, "cache path changed bytes");
-    assert_eq!(warm.counters().cache_hits, lines.len() as u64);
+    // Every answer but the refused one is a hit: errors are not cached.
+    assert_eq!(warm.counters().cache_hits, lines.len() as u64 - 1);
     assert_eq!(cold.counters().cache_hits, 0);
     warm.shutdown();
     cold.shutdown();
