@@ -12,10 +12,18 @@
 //! positive feedback for the differential mode (oscillation) and negative
 //! feedback for the common mode (the Vref operating point holds without a
 //! separate regulator, matching §6's transimpedance buffer behaviorally).
+//!
+//! With the paper's Fig 2 driver ([`DriverShape::LinearSaturate`]) the
+//! ODE is piecewise linear: inside one region (each stage linear or
+//! clipped at ±I_M, each pin's rail clamp off or on) it is
+//! `x' = A·x + b`. [`CycleStepper`], the production cycle integrator,
+//! steps such a region exactly with a cached per-region propagator and
+//! takes one RK4 step ([`OscillatorModel::step`]) only where a step ends
+//! in another region, or for the other driver shapes.
 
-use crate::gm_driver::GmDriver;
+use crate::gm_driver::{DriverShape, GmDriver};
 use crate::tank::LcTank;
-use lcosc_num::ode::OdeSystem;
+use lcosc_num::ode::{affine_propagator, OdeSystem};
 
 /// Oscillator state: pin voltages and coil current.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,6 +142,11 @@ impl OscillatorModel {
 
     /// Advances the state by one classic RK4 step of size `dt`.
     ///
+    /// This is [`CycleStepper`]'s fallback for a step that crosses a region
+    /// of the piecewise-linear driver, its only path for the
+    /// [`DriverShape::Tanh`] and [`DriverShape::HardLimit`] drivers, and
+    /// the reference the exact stepper is measured against.
+    ///
     /// The four stages run on `[f64; 3]` over one forced-inline derivative,
     /// so the step compiles to one straight-line body. Its expression trees
     /// are those of the generic [`lcosc_num::ode::rk4_step`], which stays
@@ -152,7 +165,9 @@ impl OscillatorModel {
     }
 
     /// Runs for `duration` seconds with step `dt`, recording every
-    /// `stride`-th sample.
+    /// `stride`-th sample. Steps through a [`CycleStepper`]: exact inside
+    /// each region of the `LinearSaturate` driver, RK4 across a region
+    /// boundary and for the other shapes.
     ///
     /// # Panics
     ///
@@ -174,8 +189,9 @@ impl OscillatorModel {
             il: Vec::with_capacity(steps / stride + 1),
         };
         wf.push(&state);
+        let mut stepper = CycleStepper::new();
         for k in 1..=steps {
-            self.step(&mut state, dt);
+            stepper.step(self, &mut state, dt);
             if k % stride == 0 {
                 wf.push(&state);
             }
@@ -220,13 +236,10 @@ impl OscillatorModel {
         ]
     }
 
-    /// Behavioral rail clamp current into a pin at `v`: 20 mS (≈50 Ω
-    /// ESD/junction path) beyond the supply range — strong enough to bound
-    /// the swing, soft enough to keep the RK4 step non-stiff at the default
-    /// step size.
+    /// Behavioral rail clamp current into a pin at `v`: [`G_CLAMP`]
+    /// beyond the supply range.
     #[inline(always)]
     fn clamp(&self, v: f64) -> f64 {
-        const G_CLAMP: f64 = 0.02;
         match self.rails_vdd {
             Some(vdd) if v > vdd => -G_CLAMP * (v - vdd),
             Some(_) if v < 0.0 => -G_CLAMP * v,
@@ -243,6 +256,273 @@ impl OdeSystem for OscillatorModel {
     fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
         dx.copy_from_slice(&self.rates([x[0], x[1], x[2]]));
     }
+}
+
+/// Rail clamp conductance: 20 mS (≈50 Ω ESD/junction path) beyond the
+/// supply range — strong enough to bound the swing, soft enough to keep
+/// the RK4 step non-stiff at the default step size.
+const G_CLAMP: f64 = 0.02;
+
+/// Regions of the `LinearSaturate` model: each driver stage is linear,
+/// clipped at +I_M or clipped at −I_M, and each pin's rail clamp is off,
+/// above the supply or below ground (3⁴).
+const REGIONS: usize = 81;
+
+/// Which piece of a three-piece characteristic a voltage is on.
+const LINEAR: usize = 0;
+const HIGH: usize = 1;
+const LOW: usize = 2;
+
+/// The production cycle integrator of [`OscillatorModel`]: an exact
+/// piecewise-linear stepper for the [`DriverShape::LinearSaturate`]
+/// driver, with RK4 only where a step crosses a region.
+///
+/// Inside one region — each driver stage linear or clipped at ±I_M, each
+/// rail clamp off or on, pin leaks always linear — the Fig 1 ODE is
+/// `x' = A·x + b`, so a step of size `dt` is exactly `x ← Φ·x + Γ`. The
+/// region's `A` and `b` are written from the circuit equations (not read
+/// off the model's derivative), and `Φ`, `Γ` come from
+/// [`affine_propagator`] the first time a region is visited. A step whose
+/// end state lies in another region is redone with
+/// [`OscillatorModel::step`] from its start; the `Tanh` and `HardLimit`
+/// drivers always take that RK4 step. So the driver shape alone picks the
+/// path.
+///
+/// The table holds the propagators of one model at one step size: call
+/// [`CycleStepper::clear`] whenever the model changes (a new code, tank,
+/// leak or driver state). A new step size clears it by itself.
+#[derive(Debug, Clone)]
+pub struct CycleStepper {
+    path: Path,
+    /// Bit `r` set: `table[r]` holds region `r`'s propagator.
+    filled: u128,
+    table: Box<[Affine; REGIONS]>,
+    /// The state the last step ended in and its region, so a run of steps
+    /// classifies each state once.
+    end: [f64; 3],
+    end_region: usize,
+}
+
+/// How [`CycleStepper`] steps the model it was prepared for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// Not yet prepared for the current model.
+    Unprepared,
+    /// A smooth or discontinuous driver: RK4 every step.
+    Rk4,
+    /// The piecewise-linear driver: exact per-region steps.
+    Exact(Pieces),
+}
+
+/// One region's exact discrete propagator `x ← Φ·x + Γ`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Affine {
+    phi: [[f64; 3]; 3],
+    gamma: [f64; 3],
+}
+
+impl Affine {
+    #[inline(always)]
+    fn apply(&self, x: [f64; 3]) -> [f64; 3] {
+        let (p, g) = (&self.phi, &self.gamma);
+        [
+            p[0][0] * x[0] + p[0][1] * x[1] + p[0][2] * x[2] + g[0],
+            p[1][0] * x[0] + p[1][1] * x[1] + p[1][2] * x[2] + g[1],
+            p[2][0] * x[0] + p[2][1] * x[1] + p[2][2] * x[2] + g[2],
+        ]
+    }
+}
+
+/// What locates a state's region for one `LinearSaturate` model, and the
+/// step size its propagators were built for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pieces {
+    dt: f64,
+    gm: f64,
+    i_max: f64,
+    vref: f64,
+    /// Whether both driver stages are enabled.
+    driven: bool,
+    /// The supply rail of the clamp, `None` when the pins are unclamped.
+    vdd: Option<f64>,
+}
+
+impl Pieces {
+    /// Piece of the driver stage fed by pin voltage `v`: the stage current
+    /// `clamp(gm·(v − vref), ±I_M)` is linear, clipped high or clipped low.
+    /// A disabled driver is one piece (no current).
+    #[inline(always)]
+    fn stage(&self, v: f64) -> usize {
+        if !self.driven {
+            return LINEAR;
+        }
+        let u = self.gm * (v - self.vref);
+        if u > self.i_max {
+            HIGH
+        } else if u < -self.i_max {
+            LOW
+        } else {
+            LINEAR
+        }
+    }
+
+    /// Piece of a pin's rail clamp: off, above the supply, below ground.
+    #[inline(always)]
+    fn clamp(&self, v: f64) -> usize {
+        match self.vdd {
+            Some(vdd) if v > vdd => HIGH,
+            Some(_) if v < 0.0 => LOW,
+            _ => LINEAR,
+        }
+    }
+
+    /// Region index of `x = [v1, v2, iL]`. Stage 1 drives LC1 from v2,
+    /// stage 2 drives LC2 from v1.
+    #[inline(always)]
+    fn region(&self, x: [f64; 3]) -> usize {
+        ((self.stage(x[1]) * 3 + self.stage(x[0])) * 3 + self.clamp(x[0])) * 3 + self.clamp(x[1])
+    }
+
+    /// The region's `A` and `b` of `x' = A·x + b`, from the circuit
+    /// equations of Fig 1: KCL at each pin,
+    /// `C·dv/dt = i_stage − (±iL) − g_leak·v + i_clamp`, and KVL round the
+    /// coil, `L·diL/dt = v1 − v2 − Rs·iL`. Each stage or clamp current is
+    /// `slope·v + offset` on its piece.
+    fn system(&self, model: &OscillatorModel, region: usize) -> ([[f64; 3]; 3], [f64; 3]) {
+        let (s1, s2, k1, k2) = (region / 27, region / 9 % 3, region / 3 % 3, region % 3);
+        // Inverting stage current i = −clamp(gm·(v − vref), ±I_M).
+        let stage = |piece| match (self.driven, piece) {
+            (false, _) => (0.0, 0.0),
+            (true, LINEAR) => (-self.gm, self.gm * self.vref),
+            (true, HIGH) => (0.0, -self.i_max),
+            (true, _) => (0.0, self.i_max),
+        };
+        // Clamp current −G·(v − vdd) above the supply, −G·v below ground.
+        let rail = |piece| match (piece, self.vdd) {
+            (HIGH, Some(vdd)) => (-G_CLAMP, G_CLAMP * vdd),
+            (LOW, Some(_)) => (-G_CLAMP, 0.0),
+            _ => (0.0, 0.0),
+        };
+        let ((g1, i1), (g2, i2)) = (stage(s1), stage(s2));
+        let ((gc1, ic1), (gc2, ic2)) = (rail(k1), rail(k2));
+        let tank = model.tank();
+        let (c1, c2) = (tank.c1().value(), tank.c2().value());
+        let (l, rs) = (tank.l().value(), tank.rs().value());
+        let [leak1, leak2] = model.pin_leak;
+        let a = [
+            [(gc1 - leak1) / c1, g1 / c1, -1.0 / c1],
+            [g2 / c2, (gc2 - leak2) / c2, 1.0 / c2],
+            [1.0 / l, -1.0 / l, -rs / l],
+        ];
+        let b = [(i1 + ic1) / c1, (i2 + ic2) / c2, 0.0];
+        (a, b)
+    }
+}
+
+impl Default for CycleStepper {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CycleStepper {
+    /// An empty stepper; it prepares itself for the model of its first
+    /// step.
+    pub fn new() -> Self {
+        CycleStepper {
+            path: Path::Unprepared,
+            filled: 0,
+            table: Box::new([Affine::default(); REGIONS]),
+            end: [f64::NAN; 3],
+            end_region: 0,
+        }
+    }
+
+    /// Forgets the model the table was filled for. Call it whenever the
+    /// model changes; the next step prepares for the new one.
+    pub fn clear(&mut self) {
+        self.path = Path::Unprepared;
+    }
+
+    /// Advances `state` by one step of size `dt` of `model`: exactly when
+    /// the step stays inside one region of the `LinearSaturate` driver,
+    /// otherwise by [`OscillatorModel::step`].
+    #[inline]
+    pub fn step(&mut self, model: &OscillatorModel, state: &mut OscillatorState, dt: f64) {
+        let ready = match self.path {
+            Path::Exact(pieces) => pieces.dt == dt,
+            Path::Rk4 => true,
+            Path::Unprepared => false,
+        };
+        if !ready {
+            self.prepare(model, dt);
+        }
+        match self.path {
+            Path::Exact(pieces) => self.exact_step(model, pieces, state),
+            _ => model.step(state, dt),
+        }
+    }
+
+    /// Picks the path for `model` at step `dt` and empties the table.
+    #[cold]
+    #[inline(never)]
+    fn prepare(&mut self, model: &OscillatorModel, dt: f64) {
+        self.filled = 0;
+        // NaN equals nothing, so the next step classifies its start.
+        self.end = [f64::NAN; 3];
+        self.path = match model.driver().shape() {
+            DriverShape::LinearSaturate { gm } => Path::Exact(Pieces {
+                dt,
+                gm,
+                i_max: model.driver().i_max(),
+                vref: model.vref(),
+                driven: model.driver_enabled,
+                vdd: model.rails_vdd,
+            }),
+            DriverShape::Tanh { .. } | DriverShape::HardLimit => Path::Rk4,
+        };
+    }
+
+    #[inline(always)]
+    fn exact_step(&mut self, model: &OscillatorModel, pieces: Pieces, state: &mut OscillatorState) {
+        let x = [state.v1, state.v2, state.il];
+        let region = if x == self.end {
+            self.end_region
+        } else {
+            pieces.region(x)
+        };
+        if self.filled & (1u128 << region) == 0 {
+            self.fill(model, pieces, region);
+        }
+        let y = self.table[region].apply(x);
+        if pieces.region(y) == region {
+            state.v1 = y[0];
+            state.v2 = y[1];
+            state.il = y[2];
+            self.end_region = region;
+        } else {
+            crossing_step(model, state, pieces.dt);
+            self.end_region = pieces.region([state.v1, state.v2, state.il]);
+        }
+        self.end = [state.v1, state.v2, state.il];
+    }
+
+    /// Builds region `region`'s propagator on its first visit.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, model: &OscillatorModel, pieces: Pieces, region: usize) {
+        let (a, b) = pieces.system(model, region);
+        let (phi, gamma) = affine_propagator(&a, &b, pieces.dt);
+        self.table[region] = Affine { phi, gamma };
+        self.filled |= 1u128 << region;
+    }
+}
+
+/// The RK4 redo of a step that leaves its region, kept out of line so the
+/// exact step's loop stays small.
+#[inline(never)]
+fn crossing_step(model: &OscillatorModel, state: &mut OscillatorState, dt: f64) {
+    model.step(state, dt);
 }
 
 /// One RK4 stage state `x + h·k`.
@@ -553,6 +833,196 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Oracle (a): with the driver off and no leak or rails, Fig 1 is a
+    /// series RLC (C1 and C2 in series with L and Rs), whose ring-down is
+    /// closed form. The stepper must follow it over 1000 periods to within
+    /// 1e-8 of the initial swing; RK4 at the same step misses by its
+    /// truncation error.
+    #[test]
+    fn stepper_follows_the_closed_form_series_rlc_ring_down() {
+        let (l, c1, c2): (f64, f64, f64) = (25e-6, 2e-9, 3e-9);
+        let cs = c1 * c2 / (c1 + c2);
+        let omega0 = 1.0 / (l * cs).sqrt();
+        let rs = omega0 * l / 2000.0; // Q = 2000: 1000 periods decay to e^{−π/2}
+        let alpha = rs / (2.0 * l);
+        let omega_d = (omega0 * omega0 - alpha * alpha).sqrt();
+        let tank = LcTank::new(
+            lcosc_num::units::Henries(l),
+            lcosc_num::units::Farads(c1),
+            lcosc_num::units::Farads(c2),
+            lcosc_num::units::Ohms(rs),
+        )
+        .unwrap();
+        let mut model = OscillatorModel::new(tank, test_driver(1e-3), 1.65);
+        model.set_driver_enabled(false);
+        let (v10, v20, vd0) = (2.05, 1.25, 0.8);
+        let start = OscillatorState {
+            v1: v10,
+            v2: v20,
+            il: 0.0,
+        };
+        // vd'' + 2α·vd' + ω0²·vd = 0 with vd(0) = vd0, vd'(0) = −iL(0)/Cs = 0;
+        // the charge Cs·(vd0 − vd) has left C1 and reached C2.
+        let exact = |t: f64| {
+            let (s, c) = (omega_d * t).sin_cos();
+            let decay = (-alpha * t).exp();
+            let vd = vd0 * decay * (c + alpha / omega_d * s);
+            let q = cs * (vd0 - vd);
+            [v10 - q / c1, v20 + q / c2, vd0 / (l * omega_d) * decay * s]
+        };
+        let period = 2.0 * std::f64::consts::PI / omega0;
+        let dt = period / 60.0;
+        let steps = 60_000;
+        // Current error is weighed at the characteristic impedance √(L/Cs).
+        let z0 = (l / cs).sqrt();
+        let error = |x: &OscillatorState, t: f64| {
+            let want = exact(t);
+            let e = [x.v1 - want[0], x.v2 - want[1], (x.il - want[2]) * z0];
+            e.iter().fold(0.0f64, |m, v| m.max(v.abs())) / vd0
+        };
+        let wf = model.run(start, steps as f64 * dt, dt, 1);
+        assert_eq!(wf.len(), steps + 1);
+        let mut stepper_err = 0.0f64;
+        for k in 0..wf.len() {
+            let x = OscillatorState {
+                v1: wf.v1[k],
+                v2: wf.v2[k],
+                il: wf.il[k],
+            };
+            stepper_err = stepper_err.max(error(&x, k as f64 * dt));
+        }
+        let mut rk4 = start;
+        let mut rk4_err = 0.0f64;
+        for k in 1..=steps {
+            model.step(&mut rk4, dt);
+            rk4_err = rk4_err.max(error(&rk4, k as f64 * dt));
+        }
+        assert!(stepper_err < 1e-8, "stepper error {stepper_err:e}");
+        assert!(
+            rk4_err > 1e-4,
+            "RK4 error {rk4_err:e} below its truncation error"
+        );
+    }
+
+    /// Oracle (b): from a state well inside each reachable region, one
+    /// stepper step equals 64 RK4 steps of dt/64 over the model's
+    /// derivative. The stepper's region matrices come from the circuit
+    /// equations, so this also checks `rates`.
+    #[test]
+    fn stepper_matches_fine_rk4_in_every_region() {
+        let tank = test_tank();
+        let dt = dt_for(&tank);
+        let (vref, vdd) = (1.65, 3.3);
+        // Per pin: (piece name, voltage). With 2 mA at 10 mS the stages are
+        // linear within 0.2 V of vref; the clamp acts beyond 0..3.3 V, where
+        // the stage fed by that pin is clipped the same way.
+        let driven = [
+            ("linear", 1.68),
+            ("clipped high", 2.6),
+            ("clipped low", 0.7),
+            ("clamped high", 3.6),
+            ("clamped low", -0.3),
+        ];
+        let undriven = [
+            ("unclamped", 1.68),
+            ("clamped high", 3.6),
+            ("clamped low", -0.3),
+        ];
+        let mut rows = Vec::new();
+        for (n1, v1) in driven {
+            for (n2, v2) in driven {
+                rows.push((true, n1, v1, n2, v2));
+            }
+        }
+        for (n1, v1) in undriven {
+            for (n2, v2) in undriven {
+                rows.push((false, n1, v1, n2, v2));
+            }
+        }
+        let mut regions = Vec::new();
+        for (enabled, n1, v1, n2, v2) in rows {
+            let mut model = OscillatorModel::new(tank, test_driver(2e-3), vref).with_rails(vdd);
+            model.set_driver_enabled(enabled);
+            model.set_pin_leak(0, 1e-3);
+            model.set_pin_leak(1, 3e-3);
+            let start = OscillatorState { v1, v2, il: 0.5e-3 };
+            let mut stepper = CycleStepper::new();
+            let mut exact = start;
+            stepper.step(&model, &mut exact, dt);
+            let Path::Exact(pieces) = stepper.path else {
+                panic!("LinearSaturate must take the exact path");
+            };
+            let region = pieces.region([v1, v2, start.il]);
+            let label = format!("driver {enabled}, LC1 {n1}, LC2 {n2}");
+            assert_eq!(
+                stepper.end_region, region,
+                "{label}: the step left its region"
+            );
+            assert_ne!(stepper.filled & (1u128 << region), 0, "{label}");
+            // A disabled driver is one piece, indexed like the linear one.
+            regions.push((enabled, region));
+            let mut fine = start;
+            for _ in 0..64 {
+                model.step(&mut fine, dt / 64.0);
+            }
+            assert!(
+                (exact.v1 - fine.v1).abs() < 1e-9
+                    && (exact.v2 - fine.v2).abs() < 1e-9
+                    && (exact.il - fine.il).abs() < 1e-12,
+                "{label}: exact {exact:?} vs RK4 at dt/64 {fine:?}"
+            );
+        }
+        regions.sort_unstable();
+        regions.dedup();
+        assert_eq!(regions.len(), 34, "every row is its own region");
+    }
+
+    #[test]
+    fn stepper_takes_rk4_for_the_smooth_and_hard_drivers() {
+        let tank = test_tank();
+        let dt = dt_for(&tank);
+        for shape in [DriverShape::HardLimit, DriverShape::Tanh { gm: 10e-3 }] {
+            let model =
+                OscillatorModel::new(tank, GmDriver::new(shape, 2e-3), 1.65).with_rails(3.3);
+            let mut stepper = CycleStepper::new();
+            let mut a = OscillatorState::at_rest(1.65);
+            let mut b = a;
+            for _ in 0..1000 {
+                stepper.step(&model, &mut a, dt);
+                model.step(&mut b, dt);
+            }
+            assert_eq!(stepper.path, Path::Rk4);
+            assert_eq!(a, b, "{shape:?}");
+        }
+    }
+
+    #[test]
+    fn cleared_stepper_prepares_for_the_changed_model() {
+        let tank = test_tank();
+        let dt = dt_for(&tank);
+        let mut model = OscillatorModel::new(tank, test_driver(1e-3), 1.65);
+        let mut stepper = CycleStepper::new();
+        let mut state = OscillatorState::at_rest(1.65);
+        for _ in 0..500 {
+            stepper.step(&model, &mut state, dt);
+        }
+        model.set_i_max(2e-3);
+        stepper.clear();
+        let mut fresh = CycleStepper::new();
+        let mut again = state;
+        for _ in 0..500 {
+            stepper.step(&model, &mut state, dt);
+            fresh.step(&model, &mut again, dt);
+        }
+        assert_eq!(state, again);
+        // A new step size alone re-prepares the table.
+        let mut halved = again;
+        let mut reference = again;
+        fresh.step(&model, &mut halved, dt / 2.0);
+        CycleStepper::new().step(&model, &mut reference, dt / 2.0);
+        assert_eq!(halved, reference);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::detector::{AmplitudeDetector, RECTIFIER_GAIN};
 use crate::envelope::EnvelopeModel;
 use crate::gm_driver::GmDriver;
 use crate::multirate::{ModeStats, MultiRateController, RateMode};
-use crate::oscillator::{OscillatorModel, OscillatorState};
+use crate::oscillator::{CycleStepper, OscillatorModel, OscillatorState};
 use crate::regulator::{RegulationAction, RegulationFsm};
 use crate::startup::StartupSequencer;
 use crate::tank::LcTank;
@@ -126,6 +126,9 @@ pub struct SettleReport {
 pub struct ClosedLoopSim {
     cfg: OscillatorConfig,
     model: OscillatorModel,
+    /// Cycle-fidelity integrator of `model`; cleared wherever `model`
+    /// changes.
+    stepper: CycleStepper,
     envelope: EnvelopeModel,
     detector: AmplitudeDetector,
     fsm: RegulationFsm,
@@ -218,6 +221,7 @@ impl ClosedLoopSim {
         let startup = StartupSequencer::new(cfg.nvm_code, cfg.nvm_delay, cfg.tick_period);
         let mut sim = ClosedLoopSim {
             model,
+            stepper: CycleStepper::new(),
             envelope,
             detector,
             fsm,
@@ -359,6 +363,7 @@ impl ClosedLoopSim {
     pub fn inject_tank(&mut self, tank: LcTank) {
         let driver = *self.model.driver();
         self.model = OscillatorModel::new(tank, driver, self.cfg.vref).with_rails(self.cfg.vdd);
+        self.stepper.clear();
         self.envelope = EnvelopeModel::new(tank, driver).with_clamp(self.cfg.rail_clamp());
         self.cfg.tank = tank;
         // The ODE step follows the tank's resonance frequency; the
@@ -393,6 +398,7 @@ impl ClosedLoopSim {
     pub fn inject_driver_failure(&mut self) {
         self.driver_dead = true;
         self.model.set_driver_enabled(false);
+        self.stepper.clear();
         self.envelope.set_i_max(0.0);
         self.trace
             .events
@@ -414,6 +420,7 @@ impl ClosedLoopSim {
     /// it; the envelope equivalent is made correspondingly extreme.
     pub fn inject_pin_leak(&mut self, pin: usize, siemens: f64) {
         self.model.set_pin_leak(pin, siemens);
+        self.stepper.clear();
         // Envelope equivalent: a small pin leak g appears as g/2 of extra
         // differential loss; fold into Rs via the critical-gm relation.
         let tank = self.cfg.tank;
@@ -442,6 +449,7 @@ impl ClosedLoopSim {
             self.cfg.dac.current(code).value()
         };
         self.model.set_i_max(i_max);
+        self.stepper.clear();
         self.envelope.set_i_max(i_max);
         // The OscE bus also enables more parallel Gm stages at higher codes
         // (Table 1's "Active Gm stages" column): the small-signal
@@ -688,8 +696,9 @@ impl ClosedLoopSim {
         outcome
     }
 
-    /// The cycle-fidelity hot loop: steps the oscillator ODE and the
-    /// detector on the ODE grid up to `t_end`. Returns the last window
+    /// The cycle-fidelity hot loop: steps the oscillator ODE (through the
+    /// sim's [`CycleStepper`]) and the detector on the ODE grid up to
+    /// `t_end`. Returns the last window
     /// classification (the entry class if no step runs) and whether any
     /// step left the entry class. With `record`, every `record_stride`-th
     /// `v1 − v2` sample is appended to the waveform.
@@ -708,17 +717,23 @@ impl ClosedLoopSim {
         let entry_class = self.detector.state();
         let mut window = entry_class;
         let mut changed = false;
-        let mut k = 0usize;
+        // Steps left until the next recorded sample: the span's steps 0,
+        // stride, 2·stride, … are recorded (a countdown, not a division per
+        // step).
+        let mut until_record = 0usize;
         while self.t < t_end {
             self.advance_startup(self.t + dt);
-            self.model.step(&mut self.state, dt);
+            self.stepper.step(&self.model, &mut self.state, dt);
             window = self.detector.update(self.state.v1, self.state.v2);
             self.t += dt;
             changed |= window != entry_class;
-            if record && k.is_multiple_of(self.record_stride) {
-                self.trace.waveform_vdiff.push(self.state.v_diff());
+            if record {
+                if until_record == 0 {
+                    self.trace.waveform_vdiff.push(self.state.v_diff());
+                    until_record = self.record_stride;
+                }
+                until_record -= 1;
             }
-            k += 1;
         }
         (window, changed)
     }

@@ -374,9 +374,218 @@ impl LuFactors {
     }
 }
 
+/// A fixed-size 4×4 matrix, row-major.
+pub type Mat4 = [[f64; 4]; 4];
+
+fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
+    let mut c = [[0.0; 4]; 4];
+    for (ci, ai) in c.iter_mut().zip(a) {
+        for (k, aik) in ai.iter().enumerate() {
+            for (cij, bkj) in ci.iter_mut().zip(&b[k]) {
+                *cij += aik * bkj;
+            }
+        }
+    }
+    c
+}
+
+/// Matrix exponential `e^M` of a fixed-size 4×4 matrix.
+///
+/// The matrix is first balanced by an exact power-of-two diagonal
+/// similarity `B = D⁻¹·M·D` (so entries in mixed units, such as volts and
+/// amperes side by side, are brought to one scale), then `e^B` is taken by
+/// scaling and squaring: `B` is halved until its 1-norm is at most ½, an
+/// 18-term Taylor series (remainder below 10⁻²² of the norm) is summed in
+/// Horner form, and the result is squared back. `e^M = D·e^B·D⁻¹`.
+///
+/// # Example
+///
+/// ```
+/// use lcosc_num::linalg::expm4;
+///
+/// // A rotation generator: e^M is the rotation by one radian.
+/// let mut m = [[0.0; 4]; 4];
+/// m[0][1] = -1.0;
+/// m[1][0] = 1.0;
+/// let e = expm4(&m);
+/// assert!((e[0][0] - 1f64.cos()).abs() < 1e-15);
+/// assert!((e[1][0] - 1f64.sin()).abs() < 1e-15);
+/// assert_eq!(e[2][2], 1.0);
+/// ```
+pub fn expm4(m: &Mat4) -> Mat4 {
+    let (mut b, d) = balance4(m);
+    let norm = (0..4)
+        .map(|j| b.iter().map(|row| row[j].abs()).sum::<f64>())
+        .fold(0.0, f64::max);
+    let mut squarings = 0;
+    let mut scaled_norm = norm;
+    while scaled_norm > 0.5 {
+        scaled_norm *= 0.5;
+        squarings += 1;
+    }
+    let scale = 0.5f64.powi(squarings);
+    for row in b.iter_mut() {
+        for v in row.iter_mut() {
+            *v *= scale;
+        }
+    }
+    // Horner: I + B(I + B/2(I + B/3(… (I + B/18)))).
+    let mut e = IDENTITY4;
+    for k in (1..=18).rev() {
+        let mut t = mat4_mul(&b, &e);
+        for (i, row) in t.iter_mut().enumerate() {
+            for v in row.iter_mut() {
+                *v /= k as f64;
+            }
+            row[i] += 1.0;
+        }
+        e = t;
+    }
+    for _ in 0..squarings {
+        e = mat4_mul(&e, &e);
+    }
+    for (i, row) in e.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v *= d[i] / d[j];
+        }
+    }
+    e
+}
+
+const IDENTITY4: Mat4 = [
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+];
+
+/// Power-of-two diagonal balancing (the scaling half of LAPACK's `gebal`):
+/// returns `B = D⁻¹·M·D` and the diagonal of `D`. Each pass rescales a
+/// row/column pair whose off-diagonal norms differ by more than a factor
+/// of two; powers of two make every rescaling exact.
+fn balance4(m: &Mat4) -> (Mat4, [f64; 4]) {
+    let mut b = *m;
+    let mut d = [1.0; 4];
+    // Converges in a few passes; the cap only bounds pathological input.
+    for _ in 0..64 {
+        let mut converged = true;
+        for i in 0..4 {
+            let mut c = 0.0;
+            let mut r = 0.0;
+            for j in (0..4).filter(|&j| j != i) {
+                c += b[j][i].abs();
+                r += b[i][j].abs();
+            }
+            if c == 0.0 || r == 0.0 || !(c + r).is_finite() {
+                continue;
+            }
+            let sum = c + r;
+            let mut f = 1.0;
+            while c < r / 2.0 {
+                f *= 2.0;
+                c *= 4.0;
+            }
+            while c > r * 2.0 {
+                f /= 2.0;
+                c /= 4.0;
+            }
+            // `c` is now the column norm times f², so (c + r)/f is the pair's
+            // norm after the rescaling.
+            if (c + r) / f < 0.95 * sum {
+                converged = false;
+                d[i] *= f;
+                for row in b.iter_mut() {
+                    row[i] *= f;
+                }
+                for v in b[i].iter_mut() {
+                    *v /= f;
+                }
+            }
+        }
+        if converged {
+            break;
+        }
+    }
+    (b, d)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn close(a: f64, b: f64, rel: f64) -> bool {
+        (a - b).abs() <= rel * b.abs().max(f64::MIN_POSITIVE)
+    }
+
+    #[test]
+    fn expm4_of_zero_is_identity_and_of_a_diagonal_is_elementwise() {
+        assert_eq!(expm4(&[[0.0; 4]; 4]), IDENTITY4);
+        let d = [-3.0, 0.5, 2.0, -0.1];
+        let mut m = [[0.0; 4]; 4];
+        for (i, di) in d.iter().enumerate() {
+            m[i][i] = *di;
+        }
+        let e = expm4(&m);
+        for (i, di) in d.iter().enumerate() {
+            for (j, eij) in e[i].iter().enumerate() {
+                let want = if i == j { di.exp() } else { 0.0 };
+                // e^{−3} takes three squarings, each doubling the rounding.
+                assert!(close(*eij, want, 1e-14), "({i},{j}): {eij} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn expm4_sums_a_nilpotent_series_exactly() {
+        // Strictly upper triangular: e^N = I + N + N²/2 + N³/6.
+        let n = [
+            [0.0, 1.0, 2.0, 3.0],
+            [0.0, 0.0, 4.0, 5.0],
+            [0.0, 0.0, 0.0, 6.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ];
+        let e = expm4(&n);
+        let n2 = mat4_mul(&n, &n);
+        let n3 = mat4_mul(&n2, &n);
+        for i in 0..4 {
+            for j in 0..4 {
+                let want = IDENTITY4[i][j] + n[i][j] + n2[i][j] / 2.0 + n3[i][j] / 6.0;
+                assert!(
+                    close(e[i][j], want, 1e-14),
+                    "({i},{j}): {} vs {want}",
+                    e[i][j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expm4_keeps_every_entry_of_a_badly_scaled_rotation() {
+        // [[0, −s], [1/s, 0]]·θ: a rotation in mixed units, whose 1-norm
+        // (1e9·θ) would need 31 squarings without balancing. θ = 10 rad
+        // still needs squarings after it.
+        for (scale, theta) in [(1e9, 1.0), (1e-7, 0.3), (1.0, 10.0), (1e6, 10.0)] {
+            let mut m = [[0.0; 4]; 4];
+            m[0][1] = -scale * theta;
+            m[1][0] = theta / scale;
+            m[3][3] = -theta;
+            let e = expm4(&m);
+            let (c, s) = (theta.cos(), theta.sin());
+            let want = [[c, -scale * s], [s / scale, c]];
+            for i in 0..2 {
+                for j in 0..2 {
+                    assert!(
+                        close(e[i][j], want[i][j], 1e-13),
+                        "scale {scale}, θ {theta}, ({i},{j}): {} vs {}",
+                        e[i][j],
+                        want[i][j]
+                    );
+                }
+            }
+            assert!(close(e[3][3], (-theta).exp(), 1e-14));
+            assert_eq!(e[2][2], 1.0);
+        }
+    }
 
     #[test]
     fn identity_solves_to_rhs() {

@@ -1,10 +1,15 @@
 //! ODE integration for behavioral circuit models.
 //!
 //! Provides a generic classic fixed-step RK4 ([`rk4_step`]) over any
-//! [`OdeSystem`], and a zero-crossing event scanner used for oscillation
-//! frequency measurement. The oscillator's cycle step
-//! (`lcosc_core::oscillator`) runs a fixed-size, inlined copy of the same
-//! arithmetic; `rk4_step` is its bit-for-bit test reference.
+//! [`OdeSystem`], the exact one-step propagator of a linear ODE with
+//! constant input ([`affine_propagator`]), and a zero-crossing event
+//! scanner used for oscillation frequency measurement. The oscillator's
+//! cycle stepper (`lcosc_core::oscillator`) steps each linear region of its
+//! piecewise-linear ODE with an `affine_propagator` and falls back to a
+//! fixed-size, inlined copy of the RK4 arithmetic, whose bit-for-bit test
+//! reference is `rk4_step`.
+
+use crate::linalg::expm4;
 
 /// A first-order ODE system `x' = f(t, x)`.
 ///
@@ -59,6 +64,41 @@ pub fn rk4_step<S: OdeSystem + ?Sized>(
     for i in 0..n {
         x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
+}
+
+/// Exact one-step propagator of the linear ODE `x' = A·x + b` over `dt`:
+/// `x(t + dt) = Φ·x(t) + Γ` with `Φ = e^{A·dt}` and
+/// `Γ = (∫₀^dt e^{A·s} ds)·b`, both read off the exponential of the 4×4
+/// augmented matrix `[[A, b], [0, 0]]·dt` ([`expm4`]), which needs no
+/// inverse of `A` and so stays valid when `A` is singular.
+///
+/// # Example
+///
+/// ```
+/// use lcosc_num::ode::affine_propagator;
+///
+/// // x' = −x + 1 from x = 0: x(t) = 1 − e^{−t}.
+/// let a = [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]];
+/// let (phi, gamma) = affine_propagator(&a, &[1.0, 0.0, 0.0], 0.5);
+/// assert!((phi[0][0] - (-0.5f64).exp()).abs() < 1e-15);
+/// assert!((gamma[0] - (1.0 - (-0.5f64).exp())).abs() < 1e-15);
+/// ```
+pub fn affine_propagator(a: &[[f64; 3]; 3], b: &[f64; 3], dt: f64) -> ([[f64; 3]; 3], [f64; 3]) {
+    let mut m = [[0.0; 4]; 4];
+    for ((mi, ai), bi) in m.iter_mut().zip(a).zip(b) {
+        for (mij, aij) in mi.iter_mut().zip(ai) {
+            *mij = aij * dt;
+        }
+        mi[3] = bi * dt;
+    }
+    let e = expm4(&m);
+    let mut phi = [[0.0; 3]; 3];
+    let mut gamma = [0.0; 3];
+    for ((pi, gi), ei) in phi.iter_mut().zip(&mut gamma).zip(&e) {
+        pi.copy_from_slice(&ei[..3]);
+        *gi = ei[3];
+    }
+    (phi, gamma)
 }
 
 /// A detected zero crossing of a sampled signal.
@@ -116,6 +156,38 @@ pub fn frequency_from_crossings(t0: f64, dt: f64, samples: &[f64]) -> Option<f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn affine_propagator_integrates_a_constant_input_through_a_singular_matrix() {
+        // A = 0: Φ = I and Γ = b·dt.
+        let (phi, gamma) = affine_propagator(&[[0.0; 3]; 3], &[1.0, -2.0, 3.0], 0.25);
+        assert_eq!(phi, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
+        assert_eq!(gamma, [0.25, -0.5, 0.75]);
+    }
+
+    #[test]
+    fn affine_propagator_composes_like_the_flow() {
+        // Two steps of dt equal one step of 2·dt.
+        let a = [[-0.3, 1.2, -0.5], [-0.9, -0.1, 0.4], [0.2, -0.7, -0.6]];
+        let b = [0.5, -1.0, 0.25];
+        let (p1, g1) = affine_propagator(&a, &b, 0.1);
+        let (p2, g2) = affine_propagator(&a, &b, 0.2);
+        let x0 = [1.0, -0.5, 2.0];
+        let step = |p: &[[f64; 3]; 3], g: &[f64; 3], x: [f64; 3]| {
+            let mut y = *g;
+            for i in 0..3 {
+                for j in 0..3 {
+                    y[i] += p[i][j] * x[j];
+                }
+            }
+            y
+        };
+        let twice = step(&p1, &g1, step(&p1, &g1, x0));
+        let once = step(&p2, &g2, x0);
+        for i in 0..3 {
+            assert!((twice[i] - once[i]).abs() < 1e-14, "{twice:?} vs {once:?}");
+        }
+    }
 
     struct Decay;
     impl OdeSystem for Decay {
