@@ -23,7 +23,8 @@ impl LcTank {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] unless every value is positive
-    /// and finite.
+    /// and finite, and so is every rate the Fig 1 ODE runs on: `1/L`,
+    /// `1/C1`, `1/C2` and `Rs/L`.
     pub fn new(l: Henries, c1: Farads, c2: Farads, rs: Ohms) -> Result<Self> {
         let (l, c1, c2, rs) = (l.value(), c1.value(), c2.value(), rs.value());
         if !(l > 0.0 && l.is_finite()) {
@@ -35,6 +36,16 @@ impl LcTank {
         if !(rs > 0.0 && rs.is_finite()) {
             return Err(CoreError::InvalidConfig(
                 "series resistance must be positive",
+            ));
+        }
+        if !((1.0 / l).is_finite() && (1.0 / c1).is_finite() && (1.0 / c2).is_finite()) {
+            return Err(CoreError::InvalidConfig(
+                "component value too small: its reciprocal overflows",
+            ));
+        }
+        if !(rs / l).is_finite() {
+            return Err(CoreError::InvalidConfig(
+                "series resistance over inductance (Rs/L) overflows",
             ));
         }
         Ok(LcTank { l, c1, c2, rs })
@@ -96,11 +107,11 @@ impl LcTank {
     ///
     /// # Panics
     ///
-    /// Panics if `rs` is not positive and finite.
+    /// Panics if `rs` is not positive or `Rs/L` is not finite.
     pub fn with_rs(mut self, rs: Ohms) -> Self {
         assert!(
-            rs.value() > 0.0 && rs.value().is_finite(),
-            "series resistance must be positive"
+            rs.value() > 0.0 && (rs.value() / self.l).is_finite(),
+            "series resistance must be positive with a finite Rs/L"
         );
         self.rs = rs.value();
         self
@@ -228,6 +239,14 @@ mod tests {
         assert!(LcTank::new(l, c, c, Ohms(-1.0)).is_err());
         assert!(LcTank::with_q(l, c, 0.0).is_err());
         assert!(LcTank::new(l, c, c, Ohms(f64::NAN)).is_err());
+        // Finite values whose rates overflow: 1/C and Rs/L.
+        assert!(LcTank::new(l, Farads(1e-310), c, Ohms(1.0)).is_err());
+        assert_eq!(
+            LcTank::new(l, c, c, Ohms(1e305)),
+            Err(CoreError::InvalidConfig(
+                "series resistance over inductance (Rs/L) overflows"
+            ))
+        );
     }
 
     #[test]

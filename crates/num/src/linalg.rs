@@ -398,6 +398,10 @@ fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
 /// 18-term Taylor series (remainder below 10⁻²² of the norm) is summed in
 /// Horner form, and the result is squared back. `e^M = D·e^B·D⁻¹`.
 ///
+/// A matrix whose 1-norm is not finite (an infinite or NaN entry, or
+/// entries whose sum overflows) has no result here: every entry comes
+/// back NaN.
+///
 /// # Example
 ///
 /// ```
@@ -417,6 +421,9 @@ pub fn expm4(m: &Mat4) -> Mat4 {
     let norm = (0..4)
         .map(|j| b.iter().map(|row| row[j].abs()).sum::<f64>())
         .fold(0.0, f64::max);
+    if !norm.is_finite() {
+        return [[f64::NAN; 4]; 4];
+    }
     let mut squarings = 0;
     let mut scaled_norm = norm;
     while scaled_norm > 0.5 {
@@ -585,6 +592,21 @@ mod tests {
             assert!(close(e[3][3], (-theta).exp(), 1e-14));
             assert_eq!(e[2][2], 1.0);
         }
+    }
+
+    #[test]
+    fn expm4_of_a_non_finite_matrix_is_nan() {
+        // An infinite entry once kept the halving loop running for good.
+        for bad in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN] {
+            let mut m = [[0.0; 4]; 4];
+            m[2][2] = bad;
+            assert!(expm4(&m).iter().flatten().all(|v| v.is_nan()), "{bad}");
+        }
+        // Finite entries whose column sum overflows.
+        let mut m = [[0.0; 4]; 4];
+        m[0][0] = f64::MAX;
+        m[1][0] = f64::MAX;
+        assert!(expm4(&m).iter().flatten().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -38,15 +38,16 @@ fn rc_ladder_elements(sections: usize) -> String {
 /// The first transient request's id in [`request_batch`].
 const FIRST_TRANSIENT: usize = 10;
 
-/// The id of [`request_batch`]'s one refused request: an Rs drift whose
-/// product overflows to an infinite series resistance.
-const OVERFLOWING_DRIFT: usize = 13;
+/// The first of [`request_batch`]'s refused requests, the Rs drifts
+/// whose tank overflows: on `fast_test` the series resistance itself, on
+/// `datasheet_3mhz` (4.7 µH) only `Rs/L`.
+const FIRST_OVERFLOWING_DRIFT: usize = 13;
 
 /// A mixed request batch covering every cacheable kind. Its transient
 /// requests, from `FIRST_TRANSIENT` on, cover each solver path `Auto`
 /// picks: dense linear (an RC stage), dense Newton (a diode clamp) and
-/// sparse linear (a 70-section ladder, 72 MNA unknowns). The last request,
-/// `OVERFLOWING_DRIFT`, is refused with a typed error.
+/// sparse linear (a 70-section ladder, 72 MNA unknowns). The last requests,
+/// from `FIRST_OVERFLOWING_DRIFT` on, are refused with a typed error.
 fn request_batch() -> Vec<String> {
     let mut lines: Vec<String> = [
         r#"{"id":0,"kind":"scenario","fault":"open_coil"}"#,
@@ -85,6 +86,10 @@ fn request_batch() -> Vec<String> {
         rc_ladder_elements(70)
     ));
     lines.push(r#"{"id":13,"kind":"scenario","fault":"rs_drift","factor":1e308}"#.to_string());
+    lines.push(
+        r#"{"id":14,"kind":"scenario","fault":"rs_drift","factor":1e305,"preset":"datasheet_3mhz"}"#
+            .to_string(),
+    );
     lines
 }
 
@@ -106,14 +111,18 @@ fn responses_are_byte_identical_across_thread_counts() {
     let b = run_batch(&parallel, &lines);
     for (id, (line, (ra, rb))) in lines.iter().zip(a.iter().zip(&b)).enumerate() {
         assert_eq!(ra, rb, "thread-count divergence for {line}");
-        if id != OVERFLOWING_DRIFT {
+        if id < FIRST_OVERFLOWING_DRIFT {
             assert!(ra.contains("\"status\":\"ok\""), "{ra}");
         }
     }
-    // A panic inside the compute once answered `timeout` here.
+    // A panic inside the compute once answered `timeout` to id 13, and id
+    // 14's infinite Rs/L once hung the compute thread.
     assert_eq!(
-        a[OVERFLOWING_DRIFT],
-        r#"{"id":13,"status":"error","error":"invalid configuration: series resistance must be positive"}"#
+        a[FIRST_OVERFLOWING_DRIFT..],
+        [
+            r#"{"id":13,"status":"error","error":"invalid configuration: series resistance must be positive"}"#,
+            r#"{"id":14,"status":"error","error":"invalid configuration: series resistance over inductance (Rs/L) overflows"}"#,
+        ]
     );
     // Only the ladder crosses `Auto`'s sparse threshold.
     for (reply, sparse) in a[FIRST_TRANSIENT..].iter().zip([false, false, true]) {
@@ -136,8 +145,8 @@ fn cold_and_warmed_cache_produce_identical_bytes() {
     let uncached = run_batch(&cold, &lines);
     assert_eq!(first, replay, "cache replay changed bytes");
     assert_eq!(first, uncached, "cache path changed bytes");
-    // Every answer but the refused one is a hit: errors are not cached.
-    assert_eq!(warm.counters().cache_hits, lines.len() as u64 - 1);
+    // Every answer but the refused ones is a hit: errors are not cached.
+    assert_eq!(warm.counters().cache_hits, FIRST_OVERFLOWING_DRIFT as u64);
     assert_eq!(cold.counters().cache_hits, 0);
     warm.shutdown();
     cold.shutdown();
