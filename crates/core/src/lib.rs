@@ -59,7 +59,7 @@ pub use measure::{amplitude_pp, frequency_of, settling_tick};
 pub use multirate::{
     code_step_needs_guard, ModeStats, MultiRateController, MultiRateOptions, RateMode,
 };
-pub use oscillator::{CycleStepper, OscillatorModel, OscillatorState, OscillatorWaveform};
+pub use oscillator::{OscillatorModel, OscillatorState, OscillatorWaveform};
 pub use regulator::RegulationFsm;
 pub use sim::{CheckLevel, ClosedLoopSim, SettleReport, SimEvent, SimTrace};
 pub use startup::StartupSequencer;

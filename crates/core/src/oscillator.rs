@@ -16,7 +16,7 @@
 //! With the paper's Fig 2 driver ([`DriverShape::LinearSaturate`]) the
 //! ODE is piecewise linear: inside one region (each stage linear or
 //! clipped at ±I_M, each pin's rail clamp off or on) it is
-//! `x' = A·x + b`. [`CycleStepper`], the production cycle integrator,
+//! `x' = A·x + b`. `CycleStepper`, the production cycle integrator,
 //! steps such a region exactly with a cached per-region propagator and
 //! takes one RK4 step ([`OscillatorModel::step`]) only where a step ends
 //! in another region, or for the other driver shapes.
@@ -142,7 +142,7 @@ impl OscillatorModel {
 
     /// Advances the state by one classic RK4 step of size `dt`.
     ///
-    /// This is [`CycleStepper`]'s fallback for a step that crosses a region
+    /// This is the cycle stepper's fallback for a step that crosses a region
     /// of the piecewise-linear driver, its only path for the
     /// [`DriverShape::Tanh`] and [`DriverShape::HardLimit`] drivers, and
     /// the reference the exact stepper is measured against.
@@ -165,7 +165,7 @@ impl OscillatorModel {
     }
 
     /// Runs for `duration` seconds with step `dt`, recording every
-    /// `stride`-th sample. Steps through a [`CycleStepper`]: exact inside
+    /// `stride`-th sample. Steps through the cycle stepper: exact inside
     /// each region of the `LinearSaturate` driver, RK4 across a region
     /// boundary and for the other shapes.
     ///
@@ -189,9 +189,9 @@ impl OscillatorModel {
             il: Vec::with_capacity(steps / stride + 1),
         };
         wf.push(&state);
-        let mut stepper = CycleStepper::new();
+        let mut stepper = CycleStepper::new(self.clone());
         for k in 1..=steps {
-            stepper.step(self, &mut state, dt);
+            stepper.step(&mut state, dt);
             if k % stride == 0 {
                 wf.push(&state);
             }
@@ -288,22 +288,24 @@ const LOW: usize = 2;
 /// drivers always take that RK4 step. So the driver shape alone picks the
 /// path.
 ///
-/// The table holds the propagators of one model at one step size: call
-/// [`CycleStepper::clear`] whenever the model changes (a new code, tank,
-/// leak or driver state). A new step size clears it by itself.
+/// The stepper owns its model, so the table can never outlive the model
+/// it was filled for: [`CycleStepper::model_mut`] empties it, and a new
+/// step size does too.
 #[derive(Debug, Clone)]
-pub struct CycleStepper {
+pub(crate) struct CycleStepper {
+    model: OscillatorModel,
     path: Path,
     /// Bit `r` set: `table[r]` holds region `r`'s propagator.
     filled: u128,
     table: Box<[Affine; REGIONS]>,
-    /// The state the last step ended in and its region, so a run of steps
-    /// classifies each state once.
+    /// The state the last step ended in and its region. The next step
+    /// starts there unless the caller moved the state, so each state is
+    /// classified once; NaN (equal to nothing) until the first step.
     end: [f64; 3],
     end_region: usize,
 }
 
-/// How [`CycleStepper`] steps the model it was prepared for.
+/// How [`CycleStepper`] steps its model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Path {
     /// Not yet prepared for the current model.
@@ -419,17 +421,11 @@ impl Pieces {
     }
 }
 
-impl Default for CycleStepper {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl CycleStepper {
-    /// An empty stepper; it prepares itself for the model of its first
-    /// step.
-    pub fn new() -> Self {
+    /// A stepper for `model`, with an empty table.
+    pub(crate) fn new(model: OscillatorModel) -> Self {
         CycleStepper {
+            model,
             path: Path::Unprepared,
             filled: 0,
             table: Box::new([Affine::default(); REGIONS]),
@@ -438,37 +434,43 @@ impl CycleStepper {
         }
     }
 
-    /// Forgets the model the table was filled for. Call it whenever the
-    /// model changes; the next step prepares for the new one.
-    pub fn clear(&mut self) {
-        self.path = Path::Unprepared;
+    /// The model being stepped.
+    pub(crate) fn model(&self) -> &OscillatorModel {
+        &self.model
     }
 
-    /// Advances `state` by one step of size `dt` of `model`: exactly when
-    /// the step stays inside one region of the `LinearSaturate` driver,
-    /// otherwise by [`OscillatorModel::step`].
+    /// The model, to change it: empties the table, whose propagators were
+    /// built for the model as it was.
+    pub(crate) fn model_mut(&mut self) -> &mut OscillatorModel {
+        self.path = Path::Unprepared;
+        &mut self.model
+    }
+
+    /// Advances `state` by one step of size `dt`: exactly when the step
+    /// stays inside one region of the `LinearSaturate` driver, otherwise by
+    /// [`OscillatorModel::step`].
     #[inline]
-    pub fn step(&mut self, model: &OscillatorModel, state: &mut OscillatorState, dt: f64) {
+    pub(crate) fn step(&mut self, state: &mut OscillatorState, dt: f64) {
         let ready = match self.path {
             Path::Exact(pieces) => pieces.dt == dt,
             Path::Rk4 => true,
             Path::Unprepared => false,
         };
         if !ready {
-            self.prepare(model, dt);
+            self.prepare(dt);
         }
         match self.path {
-            Path::Exact(pieces) => self.exact_step(model, pieces, state),
-            _ => model.step(state, dt),
+            Path::Exact(pieces) => self.exact_step(pieces, state),
+            _ => self.model.step(state, dt),
         }
     }
 
-    /// Picks the path for `model` at step `dt` and empties the table.
+    /// Picks the path for the model at step `dt` and empties the table.
     #[cold]
     #[inline(never)]
-    fn prepare(&mut self, model: &OscillatorModel, dt: f64) {
+    fn prepare(&mut self, dt: f64) {
+        let model = &self.model;
         self.filled = 0;
-        // NaN equals nothing, so the next step classifies its start.
         self.end = [f64::NAN; 3];
         self.path = match model.driver().shape() {
             DriverShape::LinearSaturate { gm } => Path::Exact(Pieces {
@@ -484,7 +486,7 @@ impl CycleStepper {
     }
 
     #[inline(always)]
-    fn exact_step(&mut self, model: &OscillatorModel, pieces: Pieces, state: &mut OscillatorState) {
+    fn exact_step(&mut self, pieces: Pieces, state: &mut OscillatorState) {
         let x = [state.v1, state.v2, state.il];
         let region = if x == self.end {
             self.end_region
@@ -492,7 +494,7 @@ impl CycleStepper {
             pieces.region(x)
         };
         if self.filled & (1u128 << region) == 0 {
-            self.fill(model, pieces, region);
+            self.fill(pieces, region);
         }
         let y = self.table[region].apply(x);
         if pieces.region(y) == region {
@@ -501,7 +503,7 @@ impl CycleStepper {
             state.il = y[2];
             self.end_region = region;
         } else {
-            crossing_step(model, state, pieces.dt);
+            self.model.step(state, pieces.dt);
             self.end_region = pieces.region([state.v1, state.v2, state.il]);
         }
         self.end = [state.v1, state.v2, state.il];
@@ -510,19 +512,12 @@ impl CycleStepper {
     /// Builds region `region`'s propagator on its first visit.
     #[cold]
     #[inline(never)]
-    fn fill(&mut self, model: &OscillatorModel, pieces: Pieces, region: usize) {
-        let (a, b) = pieces.system(model, region);
+    fn fill(&mut self, pieces: Pieces, region: usize) {
+        let (a, b) = pieces.system(&self.model, region);
         let (phi, gamma) = affine_propagator(&a, &b, pieces.dt);
         self.table[region] = Affine { phi, gamma };
         self.filled |= 1u128 << region;
     }
-}
-
-/// The RK4 redo of a step that leaves its region, kept out of line so the
-/// exact step's loop stays small.
-#[inline(never)]
-fn crossing_step(model: &OscillatorModel, state: &mut OscillatorState, dt: f64) {
-    model.step(state, dt);
 }
 
 /// One RK4 stage state `x + h·k`.
@@ -948,16 +943,17 @@ mod tests {
             model.set_pin_leak(0, 1e-3);
             model.set_pin_leak(1, 3e-3);
             let start = OscillatorState { v1, v2, il: 0.5e-3 };
-            let mut stepper = CycleStepper::new();
+            let mut stepper = CycleStepper::new(model.clone());
             let mut exact = start;
-            stepper.step(&model, &mut exact, dt);
+            stepper.step(&mut exact, dt);
             let Path::Exact(pieces) = stepper.path else {
                 panic!("LinearSaturate must take the exact path");
             };
             let region = pieces.region([v1, v2, start.il]);
             let label = format!("driver {enabled}, LC1 {n1}, LC2 {n2}");
             assert_eq!(
-                stepper.end_region, region,
+                pieces.region([exact.v1, exact.v2, exact.il]),
+                region,
                 "{label}: the step left its region"
             );
             assert_ne!(stepper.filled & (1u128 << region), 0, "{label}");
@@ -986,11 +982,11 @@ mod tests {
         for shape in [DriverShape::HardLimit, DriverShape::Tanh { gm: 10e-3 }] {
             let model =
                 OscillatorModel::new(tank, GmDriver::new(shape, 2e-3), 1.65).with_rails(3.3);
-            let mut stepper = CycleStepper::new();
+            let mut stepper = CycleStepper::new(model.clone());
             let mut a = OscillatorState::at_rest(1.65);
             let mut b = a;
             for _ in 0..1000 {
-                stepper.step(&model, &mut a, dt);
+                stepper.step(&mut a, dt);
                 model.step(&mut b, dt);
             }
             assert_eq!(stepper.path, Path::Rk4);
@@ -999,29 +995,30 @@ mod tests {
     }
 
     #[test]
-    fn cleared_stepper_prepares_for_the_changed_model() {
+    fn changing_the_model_empties_the_table() {
         let tank = test_tank();
         let dt = dt_for(&tank);
-        let mut model = OscillatorModel::new(tank, test_driver(1e-3), 1.65);
-        let mut stepper = CycleStepper::new();
+        let mut stepper = CycleStepper::new(OscillatorModel::new(tank, test_driver(1e-3), 1.65));
+        // 50 periods: the swing has grown into the clipped regions.
         let mut state = OscillatorState::at_rest(1.65);
-        for _ in 0..500 {
-            stepper.step(&model, &mut state, dt);
+        for _ in 0..4000 {
+            stepper.step(&mut state, dt);
         }
-        model.set_i_max(2e-3);
-        stepper.clear();
-        let mut fresh = CycleStepper::new();
+        // A leak changes every region's `A`, a new limit the clipped `b`.
+        stepper.model_mut().set_i_max(2e-3);
+        stepper.model_mut().set_pin_leak(0, 1e-3);
+        let mut fresh = CycleStepper::new(stepper.model().clone());
         let mut again = state;
         for _ in 0..500 {
-            stepper.step(&model, &mut state, dt);
-            fresh.step(&model, &mut again, dt);
+            stepper.step(&mut state, dt);
+            fresh.step(&mut again, dt);
         }
         assert_eq!(state, again);
         // A new step size alone re-prepares the table.
         let mut halved = again;
         let mut reference = again;
-        fresh.step(&model, &mut halved, dt / 2.0);
-        CycleStepper::new().step(&model, &mut reference, dt / 2.0);
+        fresh.step(&mut halved, dt / 2.0);
+        CycleStepper::new(fresh.model().clone()).step(&mut reference, dt / 2.0);
         assert_eq!(halved, reference);
     }
 

@@ -125,10 +125,8 @@ pub struct SettleReport {
 #[derive(Debug, Clone)]
 pub struct ClosedLoopSim {
     cfg: OscillatorConfig,
-    model: OscillatorModel,
-    /// Cycle-fidelity integrator of `model`; cleared wherever `model`
-    /// changes.
-    stepper: CycleStepper,
+    /// The oscillator model and its cycle-fidelity integrator.
+    cycle: CycleStepper,
     envelope: EnvelopeModel,
     detector: AmplitudeDetector,
     fsm: RegulationFsm,
@@ -220,8 +218,7 @@ impl ClosedLoopSim {
         let fsm = RegulationFsm::new(Code::POR_PRESET, cfg.tick_period);
         let startup = StartupSequencer::new(cfg.nvm_code, cfg.nvm_delay, cfg.tick_period);
         let mut sim = ClosedLoopSim {
-            model,
-            stepper: CycleStepper::new(),
+            cycle: CycleStepper::new(model),
             envelope,
             detector,
             fsm,
@@ -361,9 +358,9 @@ impl ClosedLoopSim {
     /// Replaces the tank mid-run (component drift / fault injection).
     /// Any previously injected pin leaks are reset.
     pub fn inject_tank(&mut self, tank: LcTank) {
-        let driver = *self.model.driver();
-        self.model = OscillatorModel::new(tank, driver, self.cfg.vref).with_rails(self.cfg.vdd);
-        self.stepper.clear();
+        let driver = *self.cycle.model().driver();
+        *self.cycle.model_mut() =
+            OscillatorModel::new(tank, driver, self.cfg.vref).with_rails(self.cfg.vdd);
         self.envelope = EnvelopeModel::new(tank, driver).with_clamp(self.cfg.rail_clamp());
         self.cfg.tank = tank;
         // The ODE step follows the tank's resonance frequency; the
@@ -397,8 +394,7 @@ impl ClosedLoopSim {
     /// Kills both driver stages (hard internal failure).
     pub fn inject_driver_failure(&mut self) {
         self.driver_dead = true;
-        self.model.set_driver_enabled(false);
-        self.stepper.clear();
+        self.cycle.model_mut().set_driver_enabled(false);
         self.envelope.set_i_max(0.0);
         self.trace
             .events
@@ -419,8 +415,7 @@ impl ClosedLoopSim {
     /// resonant mode disappears and no driver transconductance can sustain
     /// it; the envelope equivalent is made correspondingly extreme.
     pub fn inject_pin_leak(&mut self, pin: usize, siemens: f64) {
-        self.model.set_pin_leak(pin, siemens);
-        self.stepper.clear();
+        self.cycle.model_mut().set_pin_leak(pin, siemens);
         // Envelope equivalent: a small pin leak g appears as g/2 of extra
         // differential loss; fold into Rs via the critical-gm relation.
         let tank = self.cfg.tank;
@@ -434,7 +429,7 @@ impl ClosedLoopSim {
         let gm0 = tank.rs().value() * tank.c_avg().value() / tank.l().value();
         let scale = (gm0 + extra_gm) / gm0;
         let faulted = tank.with_rs(lcosc_num::units::Ohms(tank.rs().value() * scale));
-        let driver = *self.model.driver();
+        let driver = *self.cycle.model().driver();
         self.envelope = EnvelopeModel::new(faulted, driver).with_clamp(self.cfg.rail_clamp());
         self.trace
             .events
@@ -448,8 +443,7 @@ impl ClosedLoopSim {
         } else {
             self.cfg.dac.current(code).value()
         };
-        self.model.set_i_max(i_max);
-        self.stepper.clear();
+        self.cycle.model_mut().set_i_max(i_max);
         self.envelope.set_i_max(i_max);
         // The OscE bus also enables more parallel Gm stages at higher codes
         // (Table 1's "Active Gm stages" column): the small-signal
@@ -458,7 +452,7 @@ impl ClosedLoopSim {
         if let crate::gm_driver::DriverShape::LinearSaturate { gm }
         | crate::gm_driver::DriverShape::Tanh { gm } = self.cfg.driver_shape
         {
-            self.model.set_gm(gm * weight);
+            self.cycle.model_mut().set_gm(gm * weight);
             self.envelope.set_gm(gm * weight);
         }
     }
@@ -698,9 +692,8 @@ impl ClosedLoopSim {
 
     /// The cycle-fidelity hot loop: steps the oscillator ODE (through the
     /// sim's [`CycleStepper`]) and the detector on the ODE grid up to
-    /// `t_end`. Returns the last window
-    /// classification (the entry class if no step runs) and whether any
-    /// step left the entry class. With `record`, every `record_stride`-th
+    /// `t_end`. Returns the last window classification (the entry class if
+    /// no step runs) and whether any step left the entry class. With `record`, every `record_stride`-th
     /// `v1 − v2` sample is appended to the waveform.
     fn cycle_steps(&mut self, t_end: f64, record: bool) -> (WindowState, bool) {
         let dt = self.cfg.dt();
@@ -717,23 +710,17 @@ impl ClosedLoopSim {
         let entry_class = self.detector.state();
         let mut window = entry_class;
         let mut changed = false;
-        // Steps left until the next recorded sample: the span's steps 0,
-        // stride, 2·stride, … are recorded (a countdown, not a division per
-        // step).
-        let mut until_record = 0usize;
+        let mut k = 0usize;
         while self.t < t_end {
             self.advance_startup(self.t + dt);
-            self.stepper.step(&self.model, &mut self.state, dt);
+            self.cycle.step(&mut self.state, dt);
             window = self.detector.update(self.state.v1, self.state.v2);
             self.t += dt;
             changed |= window != entry_class;
-            if record {
-                if until_record == 0 {
-                    self.trace.waveform_vdiff.push(self.state.v_diff());
-                    until_record = self.record_stride;
-                }
-                until_record -= 1;
+            if record && k.is_multiple_of(self.record_stride) {
+                self.trace.waveform_vdiff.push(self.state.v_diff());
             }
+            k += 1;
         }
         (window, changed)
     }
