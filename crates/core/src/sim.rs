@@ -693,8 +693,9 @@ impl ClosedLoopSim {
     /// The cycle-fidelity hot loop: steps the oscillator ODE (through the
     /// sim's [`CycleStepper`]) and the detector on the ODE grid up to
     /// `t_end`. Returns the last window classification (the entry class if
-    /// no step runs) and whether any step left the entry class. With `record`, every `record_stride`-th
-    /// `v1 − v2` sample is appended to the waveform.
+    /// no step runs) and whether any step left the entry class. With
+    /// `record`, every `record_stride`-th `v1 − v2` sample is appended to
+    /// the waveform.
     fn cycle_steps(&mut self, t_end: f64, record: bool) -> (WindowState, bool) {
         let dt = self.cfg.dt();
         if record {
