@@ -55,15 +55,6 @@ pub struct CampaignStats {
     pub wall: Duration,
 }
 
-impl CampaignStats {
-    /// Throughput in jobs per second (`None` when the run was too fast to
-    /// time meaningfully).
-    pub fn jobs_per_second(&self) -> Option<f64> {
-        let secs = self.wall.as_secs_f64();
-        (secs > 0.0).then(|| self.jobs as f64 / secs)
-    }
-}
-
 /// Results plus statistics of a completed campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOutcome<R> {
@@ -132,16 +123,6 @@ impl<J: Sync> Campaign<J> {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the campaign has no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Executes every job and returns the results in job-index order.
@@ -394,13 +375,5 @@ mod tests {
         assert_eq!(out.results, vec![10]);
         // Thread count is clamped to the job count.
         assert_eq!(out.stats.threads, 1);
-    }
-
-    #[test]
-    fn stats_throughput_is_positive() {
-        let out = Campaign::new("t", vec![(); 8]).run(|_, _| ());
-        if let Some(jps) = out.stats.jobs_per_second() {
-            assert!(jps > 0.0);
-        }
     }
 }

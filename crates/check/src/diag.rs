@@ -1,6 +1,8 @@
 //! The diagnostics engine: severities, stable codes, provenance and the
 //! [`Report`] collection with human-readable and JSON rendering.
 
+use lcosc_campaign::Json;
+
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
@@ -164,23 +166,11 @@ impl Report {
         self.diags.iter().any(|d| d.code == code)
     }
 
-    /// Distinct codes present, in first-emission order.
-    pub fn codes(&self) -> Vec<&'static str> {
-        let mut seen = Vec::new();
-        for d in &self.diags {
-            if !seen.contains(&d.code) {
-                seen.push(d.code);
-            }
-        }
-        seen
-    }
-
     /// Diagnostics in rendering order: sorted by (code, provenance,
     /// severity, message) so output is byte-stable regardless of the
     /// order the rules happened to run in. Emission order (which
-    /// [`Report::diagnostics`] and [`Report::codes`] preserve) is an
-    /// evaluation detail; rendered reports are part of the golden
-    /// surface.
+    /// [`Report::diagnostics`] preserves) is an evaluation detail;
+    /// rendered reports are part of the golden surface.
     fn render_order(&self) -> Vec<&Diagnostic> {
         let mut sorted: Vec<&Diagnostic> = self.diags.iter().collect();
         sorted.sort_by(|a, b| {
@@ -219,56 +209,31 @@ impl Report {
     }
 
     /// Renders the report as a JSON object
-    /// `{"errors": N, "warnings": N, "diagnostics": [...]}` (hand-rolled;
-    /// the workspace builds offline without serde). Diagnostics are
-    /// sorted by (code, provenance) for byte-stable output.
+    /// `{"errors": N, "warnings": N, "diagnostics": [...]}`. Diagnostics
+    /// are sorted by (code, provenance) for byte-stable output.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.warning_count()
-        );
-        for (k, d) in self.render_order().into_iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-                d.code,
-                d.severity,
-                escape_json(&d.message)
-            );
-            if let Some(p) = &d.provenance {
-                let _ = write!(out, ",\"provenance\":\"{}\"", escape_json(&p.to_string()));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let diagnostics = self
+            .render_order()
+            .into_iter()
+            .map(|d| {
+                let mut pairs = vec![
+                    ("code", Json::from(d.code)),
+                    ("severity", Json::from(d.severity.to_string())),
+                    ("message", Json::from(d.message.as_str())),
+                ];
+                if let Some(p) = &d.provenance {
+                    pairs.push(("provenance", Json::from(p.to_string())));
+                }
+                Json::obj(pairs)
+            })
+            .collect();
+        Json::obj([
+            ("errors", Json::from(self.error_count())),
+            ("warnings", Json::from(self.warning_count())),
+            ("diagnostics", Json::Array(diagnostics)),
+        ])
+        .render()
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The full diagnostic-code registry: `(code, one-line description)`.
@@ -423,7 +388,6 @@ mod tests {
         assert!(!r.is_clean());
         assert!(r.contains("E005"));
         assert!(!r.contains("E001"));
-        assert_eq!(r.codes(), vec!["E005", "E002", "E010"]);
     }
 
     #[test]
@@ -457,8 +421,12 @@ mod tests {
 
     #[test]
     fn json_escapes_control_characters() {
-        assert_eq!(escape_json("a\tb\nc\"d\\e"), "a\\tb\\nc\\\"d\\\\e");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let mut r = Report::new();
+        r.error("E005", "a\tb\nc\"d\\e\r\u{1}".into(), None);
+        assert_eq!(
+            r.render_json(),
+            r#"{"errors":1,"warnings":0,"diagnostics":[{"code":"E005","severity":"error","message":"a\tb\nc\"d\\e\r\u0001"}]}"#
+        );
     }
 
     #[test]

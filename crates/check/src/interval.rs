@@ -2,7 +2,7 @@
 //! domain of the `--prove` pass.
 //!
 //! Every operation widens its result by one ulp on each side
-//! ([`next_down`]/[`next_up`]) so the returned interval *contains* the
+//! ([`next_down`]/`next_up`) so the returned interval *contains* the
 //! exact real result of applying the operation to any points of the
 //! operands, regardless of the rounding direction the hardware picked.
 //! That over-approximation is the entire soundness story: a property
@@ -16,7 +16,7 @@
 //! fixpoint acceleration.
 
 /// The next representable `f64` strictly above `x` (saturates at +∞).
-pub fn next_up(x: f64) -> f64 {
+pub(crate) fn next_up(x: f64) -> f64 {
     if x.is_nan() || x == f64::INFINITY {
         x
     } else if x == 0.0 {

@@ -37,14 +37,14 @@
 //! The crate sits at the bottom of the workspace dependency graph —
 //! `lcosc-core` and `lcosc-safety` call into it at their entry points and
 //! surface failures as typed errors, and the `lcosc-check` CLI binary
-//! lints decks ([`parse_deck`]) and presets from the command line.
+//! lints `.sp` decks (read by `lcosc-spice`) and presets from the command
+//! line.
 
 pub mod abstract_dac;
 pub mod config;
 pub mod diag;
 pub mod interval;
 pub mod netlist;
-pub mod parse;
 pub mod prove;
 pub mod reach;
 
@@ -56,6 +56,5 @@ pub use config::{
 pub use diag::{describe, Diagnostic, Provenance, Report, Severity, ALL_CODES};
 pub use interval::Interval;
 pub use netlist::check_netlist;
-pub use parse::{parse_deck, ParseError};
 pub use prove::{prove, Counterexample, Obligation, ProveFacts, ProveOutcome};
 pub use reach::{analyze, ModelInput, ModelState, ReachFacts, ReachReport};

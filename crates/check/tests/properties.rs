@@ -3,8 +3,8 @@
 //! netlists solve DC without panicking.
 
 use lcosc_check::{
-    check_config_facts, check_control_word, check_netlist, check_safety_facts, parse_deck,
-    ConfigFacts, SafetyFacts,
+    check_config_facts, check_control_word, check_netlist, check_safety_facts, ConfigFacts,
+    SafetyFacts,
 };
 use lcosc_circuit::analysis::dc::solve_dc;
 use lcosc_circuit::{Element, Netlist, Waveform};
@@ -150,17 +150,6 @@ proptest! {
         let report = check_netlist(&nl);
         prop_assert!(report.contains("E002"), "{}", report.render_human());
         prop_assert!(!report.is_clean());
-    }
-
-    /// The deck parser round-trips `Netlist::listing` for random ladders.
-    #[test]
-    fn parser_round_trips_listings(
-        v in -10.0f64..10.0,
-        rs in proptest::collection::vec(10.0f64..1e6, 1..6),
-    ) {
-        let nl = ladder(v, &rs);
-        let reparsed = parse_deck(&nl.listing()).expect("listing reparses");
-        prop_assert_eq!(reparsed.listing(), nl.listing());
     }
 
     /// `check_control_word` is exactly the Table 1 membership test: a word

@@ -265,16 +265,6 @@ impl TransientResult {
         &self.voltages[k * nn..(k + 1) * nn]
     }
 
-    /// The full element-current row of sample `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range sample.
-    pub fn currents_at(&self, k: usize) -> &[f64] {
-        let ec = self.element_count;
-        &self.currents[k * ec..(k + 1) * ec]
-    }
-
     /// The entire row-major voltage storage (all samples back to back) —
     /// handy for bitwise comparisons between runs.
     pub fn voltages_flat(&self) -> &[f64] {
@@ -303,21 +293,6 @@ impl TransientResult {
             .step_by(nn.max(1))
             .copied()
             .collect()
-    }
-
-    /// Voltage of a node at sample `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range sample or foreign node.
-    pub fn voltage_at(&self, n: NodeId, k: usize) -> f64 {
-        assert!(n.index() < self.node_count, "node {n} not in result");
-        assert!(k < self.times.len(), "sample {k} out of range");
-        if n.is_ground() {
-            0.0
-        } else {
-            self.voltages[k * (self.node_count - 1) + n.index() - 1]
-        }
     }
 
     /// Current trace of one element.
@@ -718,14 +693,14 @@ mod tests {
     }
 
     #[test]
-    fn voltage_at_and_ground_queries() {
+    fn ground_and_node_trace_queries() {
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.voltage_source(a, Netlist::GROUND, Waveform::Dc(1.0));
         nl.resistor(a, Netlist::GROUND, 1.0);
         let res = run_transient(&nl, &TransientOptions::new(1e-6, 1e-5)).unwrap();
-        assert_eq!(res.voltage_at(Netlist::GROUND, 0), 0.0);
-        assert!((res.voltage_at(a, res.len() - 1) - 1.0).abs() < 1e-9);
+        assert!(res.voltage_trace(Netlist::GROUND).iter().all(|&v| v == 0.0));
+        assert!((res.voltage_trace(a)[res.len() - 1] - 1.0).abs() < 1e-9);
         assert_eq!(res.voltage_trace(Netlist::GROUND).len(), res.len());
     }
 
@@ -841,7 +816,6 @@ mod tests {
         for (k, &traced) in trace.iter().enumerate() {
             assert_eq!(res.voltages_at(k)[out.index() - 1], traced);
             assert_eq!(res.voltages_at(k).len(), 2);
-            assert_eq!(res.currents_at(k).len(), 3);
         }
         assert_eq!(trace.len(), res.len());
         assert_eq!(res.voltages_flat().len(), res.len() * 2);

@@ -570,8 +570,8 @@ mod tests {
         assert!(nl.is_linear());
         let opts = crate::TransientOptions::new(1e-7, 2e-5);
         let res = crate::run_transient(&nl, &opts).unwrap();
-        let out = nl.node_id(2).unwrap();
-        let v_end = res.voltage_at(out, res.len() - 1);
+        let out = nl.nodes().nth(2).unwrap();
+        let v_end = *res.voltage_trace(out).last().unwrap();
         assert!(v_end > 0.99, "RC settles to the source value, got {v_end}");
     }
 
@@ -583,8 +583,8 @@ mod tests {
         )
         .unwrap();
         let nl = netlist_from_json(&deck).unwrap();
-        assert_eq!(nl.node_name(nl.node_id(1).unwrap()), "b");
-        assert_eq!(nl.node_name(nl.node_id(2).unwrap()), "a");
+        assert_eq!(nl.node_name(nl.nodes().nth(1).unwrap()), "b");
+        assert_eq!(nl.node_name(nl.nodes().nth(2).unwrap()), "a");
     }
 
     #[test]

@@ -427,11 +427,6 @@ impl Netlist {
         self.node_names.len()
     }
 
-    /// The node with the given raw index, if it belongs to this netlist.
-    pub fn node_id(&self, index: usize) -> Option<NodeId> {
-        (index < self.node_names.len()).then_some(NodeId(index))
-    }
-
     /// Iterator over every node id including ground, in index order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_names.len()).map(NodeId)
@@ -657,18 +652,6 @@ impl Netlist {
             self.check_node(n);
         }
         self.push(e)
-    }
-
-    /// Opens or closes a previously added switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a switch of this netlist.
-    pub fn set_switch(&mut self, id: ElementId, closed: bool) {
-        match &mut self.elements[id.0] {
-            Element::Switch { closed: c, .. } => *c = closed,
-            other => panic!("element {id:?} is not a switch: {other:?}"),
-        }
     }
 
     /// Whether every element is linear — no diode and no MOSFET.
@@ -971,27 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn switch_toggles() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let s = nl.switch(a, Netlist::GROUND, false);
-        nl.set_switch(s, true);
-        match nl.element(s) {
-            Element::Switch { closed, .. } => assert!(closed),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a switch")]
-    fn set_switch_rejects_non_switch() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let r = nl.resistor(a, Netlist::GROUND, 1.0);
-        nl.set_switch(r, true);
-    }
-
-    #[test]
     #[should_panic(expected = "must be positive")]
     fn resistor_rejects_zero() {
         let mut nl = Netlist::new();
@@ -1045,141 +1007,5 @@ mod tests {
             let t = element_terminals(e);
             assert!(t.len() == 2 || t.len() == 4, "{e:?} -> {t:?}");
         }
-    }
-}
-
-impl Netlist {
-    /// Renders a SPICE-like listing of the netlist (one element per line)
-    /// for debugging and reports.
-    pub fn listing(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let name = |n: NodeId| self.node_name(n).to_string();
-        for (k, e) in self.elements.iter().enumerate() {
-            let _ = match e {
-                Element::Resistor { a, b, ohms } => {
-                    writeln!(out, "R{k} {} {} {ohms:.4e}", name(*a), name(*b))
-                }
-                Element::Capacitor { a, b, farads, v0 } => {
-                    writeln!(
-                        out,
-                        "C{k} {} {} {farads:.4e} ic={v0:.3}",
-                        name(*a),
-                        name(*b)
-                    )
-                }
-                Element::Inductor { a, b, henries, i0 } => {
-                    writeln!(
-                        out,
-                        "L{k} {} {} {henries:.4e} ic={i0:.3}",
-                        name(*a),
-                        name(*b)
-                    )
-                }
-                Element::VoltageSource { p, n, wave } => {
-                    writeln!(
-                        out,
-                        "V{k} {} {} dc={:.4e}",
-                        name(*p),
-                        name(*n),
-                        wave.dc_value()
-                    )
-                }
-                Element::CurrentSource { p, n, wave } => {
-                    writeln!(
-                        out,
-                        "I{k} {} {} dc={:.4e}",
-                        name(*p),
-                        name(*n),
-                        wave.dc_value()
-                    )
-                }
-                Element::Vccs {
-                    out_p,
-                    out_n,
-                    in_p,
-                    in_n,
-                    gm,
-                } => writeln!(
-                    out,
-                    "G{k} {} {} {} {} {gm:.4e}",
-                    name(*out_p),
-                    name(*out_n),
-                    name(*in_p),
-                    name(*in_n)
-                ),
-                Element::Diode { anode, cathode, .. } => {
-                    writeln!(out, "D{k} {} {}", name(*anode), name(*cathode))
-                }
-                Element::Mosfet { d, g, s, b, model } => writeln!(
-                    out,
-                    "M{k} {} {} {} {} {}",
-                    name(*d),
-                    name(*g),
-                    name(*s),
-                    name(*b),
-                    model.polarity()
-                ),
-                Element::Switch { a, b, closed, .. } => writeln!(
-                    out,
-                    "S{k} {} {} {}",
-                    name(*a),
-                    name(*b),
-                    if *closed { "on" } else { "off" }
-                ),
-            };
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod listing_tests {
-    use super::*;
-    use lcosc_device::diode::DiodeModel;
-    use lcosc_device::mos::MosModel;
-
-    #[test]
-    fn listing_covers_every_element_kind() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let b = nl.node("b");
-        nl.resistor(a, b, 1e3);
-        nl.capacitor_ic(a, Netlist::GROUND, 1e-9, 0.5);
-        nl.inductor(a, b, 1e-6);
-        nl.voltage_source(a, Netlist::GROUND, Waveform::Dc(3.3));
-        nl.current_source(b, Netlist::GROUND, Waveform::Dc(1e-3));
-        nl.vccs(a, Netlist::GROUND, b, Netlist::GROUND, 1e-3);
-        nl.diode(a, b, DiodeModel::default());
-        nl.mosfet(
-            a,
-            b,
-            Netlist::GROUND,
-            Netlist::GROUND,
-            MosModel::nmos_035um(),
-        );
-        nl.switch(a, b, true);
-        let s = nl.listing();
-        assert_eq!(s.lines().count(), 9);
-        for prefix in [
-            "R0",
-            "C1",
-            "L2",
-            "V3",
-            "I4",
-            "G5",
-            "D6",
-            "M7 a b gnd gnd nmos",
-            "S8 a b on",
-        ] {
-            assert!(s.contains(prefix), "missing {prefix} in:\n{s}");
-        }
-        assert!(s.contains("ic=0.500"));
-        assert!(s.contains("dc=3.3"));
-    }
-
-    #[test]
-    fn listing_of_empty_netlist_is_empty() {
-        assert!(Netlist::new().listing().is_empty());
     }
 }

@@ -454,20 +454,6 @@ pub struct StampPattern {
 }
 
 impl StampPattern {
-    /// Number of MNA unknowns (rows and columns).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Occupied column indices of one row, sorted and deduplicated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= size()`.
-    pub fn row(&self, row: usize) -> &[usize] {
-        &self.rows[row]
-    }
-
     /// Rows with no stamped entry at all (unknowns no equation touches).
     pub fn empty_rows(&self) -> Vec<usize> {
         (0..self.size)
@@ -680,7 +666,7 @@ mod pattern_tests {
         nl.resistor(vin, out, 1e3);
         nl.resistor(out, Netlist::GROUND, 1e3);
         let p = dc_stamp_pattern(&nl);
-        assert_eq!(p.size(), 3); // 2 node voltages + 1 branch current
+        assert_eq!(p.size, 3); // 2 node voltages + 1 branch current
         assert!(p.empty_rows().is_empty());
         assert!(p.empty_columns().is_empty());
         assert!(p.has_perfect_matching());
@@ -730,7 +716,7 @@ mod pattern_tests {
         nl.voltage_source(a, Netlist::GROUND, Waveform::Dc(0.0));
         nl.inductor(a, Netlist::GROUND, 1e-6);
         let p = dc_stamp_pattern(&nl);
-        assert_eq!(p.size(), 3);
+        assert_eq!(p.size, 3);
         assert!(!p.has_perfect_matching());
     }
 
@@ -743,18 +729,18 @@ mod pattern_tests {
         nl.inductor(a, b, 1e-6);
         nl.resistor(b, Netlist::GROUND, 1e3);
         let p = dc_stamp_pattern(&nl);
-        assert_eq!(p.size(), 4);
+        assert_eq!(p.size, 4);
         assert!(p.has_perfect_matching());
         assert!(p.empty_rows().is_empty());
     }
 
     #[test]
-    fn row_accessor_is_sorted_and_deduped() {
+    fn rows_are_sorted_and_deduped() {
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.resistor(a, Netlist::GROUND, 1.0);
         nl.resistor(a, Netlist::GROUND, 2.0);
         let p = dc_stamp_pattern(&nl);
-        assert_eq!(p.row(0), &[0]);
+        assert_eq!(p.rows[0], [0]);
     }
 }

@@ -13,7 +13,6 @@
 //!   peak-to-peak `V_pp = 16·L·I_M/(π·Rs·C)`, the paper's eq 4 linear
 //!   `V ∝ I_M` law with k = 2√2/π ≈ 0.9.
 
-use crate::gm_driver::GmDriver;
 use crate::tank::LcTank;
 use lcosc_num::units::{Amps, Volts};
 
@@ -29,23 +28,11 @@ impl OscillationCondition {
         OscillationCondition { tank }
     }
 
-    /// The tank under analysis.
-    pub fn tank(&self) -> &LcTank {
-        &self.tank
-    }
-
     /// Critical per-stage transconductance `Gm₀ = Rs·C_avg/L` (eq 1): the
     /// loop has net gain while each cross-coupled stage provides more than
     /// this.
     pub fn critical_gm(&self) -> f64 {
         self.tank.rs().value() * self.tank.c_avg().value() / self.tank.l().value()
-    }
-
-    /// Whether a driver can start the oscillation from noise: its
-    /// small-signal transconductance must exceed the critical gm (the hard
-    /// limiter always starts, its origin slope being unbounded).
-    pub fn can_start(&self, driver: &GmDriver) -> bool {
-        driver.i_max() > 0.0 && driver.gm_small_signal() > self.critical_gm()
     }
 
     /// Steady-state per-pin peak amplitude for a deeply limited driver:
@@ -95,7 +82,6 @@ impl OscillationCondition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gm_driver::DriverShape;
     use lcosc_num::units::{Farads, Henries, Ohms};
 
     fn datasheet() -> OscillationCondition {
@@ -179,28 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn can_start_requires_gm_margin() {
-        let c = datasheet();
-        let strong = GmDriver::new(DriverShape::LinearSaturate { gm: 10e-3 }, 1e-3);
-        let weak = GmDriver::new(
-            DriverShape::LinearSaturate {
-                gm: c.critical_gm() * 0.5,
-            },
-            1e-3,
-        );
-        let dead = GmDriver::new(DriverShape::HardLimit, 0.0);
-        assert!(c.can_start(&strong));
-        assert!(!c.can_start(&weak));
-        assert!(!c.can_start(&dead));
-        assert!(c.can_start(&GmDriver::new(DriverShape::HardLimit, 1e-6)));
-    }
-
-    #[test]
     fn tank_power_matches_loss_formula() {
         // At resonance the inductor current is V_diff/(ω L); power = Rs I².
         let c = datasheet();
         let p = c.tank_power(Volts(1.0));
-        let t = c.tank();
+        let t = c.tank;
         let il = 1.0 / (t.omega0() * t.l().value());
         assert!((p - t.rs().value() * il * il).abs() < 1e-15);
         assert!(p > 0.0);

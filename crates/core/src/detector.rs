@@ -93,11 +93,6 @@ impl AmplitudeDetector {
         self.amplitude_lpf.output()
     }
 
-    /// Filtered mid-point `VR1`.
-    pub fn vr1(&self) -> f64 {
-        self.midpoint_lpf.output()
-    }
-
     /// The comparison window (thresholds `VR3`, `VR4` relative to `VR1`).
     pub fn window(&self) -> &WindowComparator {
         &self.window
@@ -170,7 +165,8 @@ mod tests {
     fn midpoint_tracks_dc_shift() {
         let mut det = AmplitudeDetector::new(0.5, 0.15, 20e-6, DT, 1.65);
         feed_sine(&mut det, 0.5, 2.0, 300);
-        assert!((det.vr1() - 2.0).abs() < 0.02, "vr1 {}", det.vr1());
+        let vr1 = det.midpoint_lpf.output();
+        assert!((vr1 - 2.0).abs() < 0.02, "vr1 {vr1}");
         // Amplitude classification is unaffected by the common-mode shift.
         assert_eq!(det.state(), WindowState::Inside);
     }
@@ -204,10 +200,10 @@ mod tests {
     fn retime_preserves_filter_state_and_time_constant() {
         let mut det = AmplitudeDetector::new(0.5, 0.15, 20e-6, DT, 1.65);
         feed_sine(&mut det, 0.5, 1.65, 200);
-        let (vr1, vdc1, state) = (det.vr1(), det.vdc1(), det.state());
+        let (vr1, vdc1, state) = (det.midpoint_lpf.output(), det.vdc1(), det.state());
         // Hand-off to a 100× coarser grid: outputs carry over bit-exactly.
         det.retime(DT * 100.0);
-        assert_eq!(det.vr1(), vr1);
+        assert_eq!(det.midpoint_lpf.output(), vr1);
         assert_eq!(det.vdc1(), vdc1);
         assert_eq!(det.state(), state);
         // The retimed filter still settles to the same steady state with

@@ -57,16 +57,6 @@ impl EnvelopeModel {
         self
     }
 
-    /// The tank.
-    pub fn tank(&self) -> &LcTank {
-        &self.tank
-    }
-
-    /// The driver.
-    pub fn driver(&self) -> &GmDriver {
-        &self.driver
-    }
-
     /// Updates the driver current limit.
     pub fn set_i_max(&mut self, i_max: f64) {
         self.driver.set_i_max(i_max);
@@ -77,15 +67,6 @@ impl EnvelopeModel {
     pub fn set_gm(&mut self, gm: f64) {
         self.driver.set_gm(gm);
         self.a_star = self.compute_steady();
-    }
-
-    /// Amplitude growth rate `da/dt` at per-pin amplitude `a`.
-    pub fn rate(&self, a: f64) -> f64 {
-        if a <= 0.0 {
-            return 0.0;
-        }
-        let n = self.driver.describing_function(a);
-        a * (n - self.gm_crit) / (2.0 * self.tank.c_avg().value())
     }
 
     /// Instantaneous exponential growth rate `λ(a) = (N(a) − Gm₀)/(2C)` in
@@ -186,33 +167,6 @@ impl EnvelopeModel {
         }
         (0.5 * (lo + hi)).min(self.a_clamp)
     }
-
-    /// The rail clamp (infinite when unclamped).
-    pub fn clamp(&self) -> f64 {
-        self.a_clamp
-    }
-
-    /// Time for the amplitude to grow from `a0` to `a1` (simple forward
-    /// integration; `None` if it fails to get there within `t_max`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < a0 < a1` and `t_max > 0`.
-    pub fn time_to_grow(&self, a0: f64, a1: f64, t_max: f64) -> Option<f64> {
-        assert!(a0 > 0.0 && a1 > a0, "need 0 < a0 < a1");
-        assert!(t_max > 0.0, "t_max must be positive");
-        let dt = t_max / 200_000.0;
-        let mut a = a0;
-        let mut t = 0.0;
-        while t < t_max {
-            a = self.step(a, dt);
-            t += dt;
-            if a >= a1 {
-                return Some(t);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -244,12 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn rate_positive_below_and_negative_above_fixed_point() {
+    fn lambda_positive_below_and_negative_above_fixed_point() {
         let m = EnvelopeModel::new(test_tank(), driver(1e-3));
         let a_star = m.steady_amplitude();
-        assert!(m.rate(0.5 * a_star) > 0.0);
-        assert!(m.rate(1.5 * a_star) < 0.0);
-        assert!(m.rate(a_star).abs() < m.rate(0.5 * a_star) * 0.05);
+        assert!(m.lambda(0.5 * a_star) > 0.0);
+        assert!(m.lambda(1.5 * a_star) < 0.0);
+        // da/dt = λ·a, so |da/dt(a*)| < 5 % of da/dt(a*/2) is this bound.
+        assert!(m.lambda(a_star).abs() < m.lambda(0.5 * a_star) * 0.025);
     }
 
     #[test]
@@ -284,29 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn time_to_grow_shrinks_with_current() {
-        let tank = test_tank();
-        let m_small = EnvelopeModel::new(tank, driver(0.5e-3));
-        let m_large = EnvelopeModel::new(tank, driver(2e-3));
-        let t_small = m_small.time_to_grow(1e-3, 0.3, 1e-3).unwrap();
-        let t_large = m_large.time_to_grow(1e-3, 0.3, 1e-3).unwrap();
-        // Exponential growth-rate is set by gm, identical; but the larger
-        // limit keeps growing linearly for longer — it reaches 0.3 V no
-        // later than the small one.
-        assert!(t_large <= t_small, "{t_large} vs {t_small}");
-    }
-
-    #[test]
-    fn time_to_grow_none_when_unreachable() {
-        let m = EnvelopeModel::new(test_tank(), driver(1e-5));
-        // Fixed point is tiny; 1 V is unreachable.
-        assert!(m.time_to_grow(1e-3, 1.0, 1e-3).is_none());
-    }
-
-    #[test]
     fn zero_amplitude_is_an_equilibrium() {
         let m = EnvelopeModel::new(test_tank(), driver(1e-3));
-        assert_eq!(m.rate(0.0), 0.0);
+        assert_eq!(m.lambda(0.0), 0.0);
         assert_eq!(m.step(0.0, 1e-6), 0.0);
     }
 
@@ -317,7 +252,7 @@ mod tests {
         assert_eq!(m.steady_amplitude(), 0.4);
         let a = m.advance(1e-3, 200e-6, 1_000);
         assert!((a - 0.4).abs() < 1e-9, "clamped at {a}");
-        assert_eq!(m.clamp(), 0.4);
+        assert_eq!(m.a_clamp, 0.4);
     }
 
     #[test]

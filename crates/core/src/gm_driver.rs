@@ -61,12 +61,6 @@ impl GmDriver {
         GmDriver { shape, i_max }
     }
 
-    /// The paper's driver: linear-saturate with the chip's ≈10 mS maximum
-    /// equivalent transconductance (§9).
-    pub fn datasheet(i_max: f64) -> Self {
-        GmDriver::new(DriverShape::LinearSaturate { gm: 10e-3 }, i_max)
-    }
-
     /// Current limit I_M.
     pub fn i_max(&self) -> f64 {
         self.i_max
@@ -298,7 +292,7 @@ mod tests {
 
     #[test]
     fn set_i_max_rescales_limit() {
-        let mut d = GmDriver::datasheet(1e-3);
+        let mut d = GmDriver::new(DriverShape::LinearSaturate { gm: 10e-3 }, 1e-3);
         d.set_i_max(2e-3);
         assert_eq!(d.i_max(), 2e-3);
         assert_eq!(d.current(10.0), 2e-3);

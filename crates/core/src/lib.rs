@@ -47,7 +47,6 @@ pub mod regulator;
 pub mod sim;
 pub mod startup;
 pub mod tank;
-pub mod thresholds;
 
 pub use condition::OscillationCondition;
 pub use config::{Fidelity, OscillatorConfig};
@@ -64,7 +63,6 @@ pub use regulator::RegulationFsm;
 pub use sim::{CheckLevel, ClosedLoopSim, SettleReport, SimEvent, SimTrace};
 pub use startup::StartupSequencer;
 pub use tank::LcTank;
-pub use thresholds::ReferenceStyle;
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq)]

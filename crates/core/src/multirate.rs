@@ -90,15 +90,6 @@ pub struct ModeStats {
     pub bisections: u64,
 }
 
-impl ModeStats {
-    /// Fraction of ticks spent in envelope fidelity, in permille
-    /// (integer, so the value can ride the byte-stable trace stream).
-    pub fn envelope_permille(&self) -> u64 {
-        let total = self.envelope_ticks + self.cycle_ticks;
-        (1000 * self.envelope_ticks).checked_div(total).unwrap_or(0)
-    }
-}
-
 /// Whether a code step needs a cycle-fidelity guard window: steps that
 /// cross a DAC segment edge (prescaler/Gm-weight reconfiguration — the
 /// output staircase is locally non-uniform there) and steps that land on
@@ -137,11 +128,6 @@ impl MultiRateController {
         }
     }
 
-    /// The options.
-    pub fn options(&self) -> &MultiRateOptions {
-        &self.opts
-    }
-
     /// The current fidelity.
     pub fn mode(&self) -> RateMode {
         self.mode
@@ -150,11 +136,6 @@ impl MultiRateController {
     /// Accumulated per-mode statistics.
     pub fn stats(&self) -> ModeStats {
         self.stats
-    }
-
-    /// Whether an event armed the guard during the current tick.
-    pub fn armed_this_tick(&self) -> bool {
-        self.armed_this_tick
     }
 
     /// Reports a guard event (fault injection, detector window-state
@@ -322,16 +303,5 @@ mod tests {
         assert_eq!(c.mode(), RateMode::Envelope);
         c.on_code_step(code(63), code(64));
         assert_eq!(c.mode(), RateMode::Cycle);
-    }
-
-    #[test]
-    fn envelope_permille_reflects_the_tick_split() {
-        let mut s = ModeStats::default();
-        assert_eq!(s.envelope_permille(), 0);
-        s.envelope_ticks = 9;
-        s.cycle_ticks = 1;
-        assert_eq!(s.envelope_permille(), 900);
-        s.cycle_ticks = 0;
-        assert_eq!(s.envelope_permille(), 1000);
     }
 }

@@ -51,11 +51,6 @@ impl OscillatorState {
     pub fn v_diff(&self) -> f64 {
         self.v1 - self.v2
     }
-
-    /// Common-mode voltage `(v1 + v2)/2`.
-    pub fn v_cm(&self) -> f64 {
-        0.5 * (self.v1 + self.v2)
-    }
 }
 
 /// The oscillator ODE: tank + two cross-coupled limited drivers.
@@ -788,7 +783,7 @@ mod tests {
         assert_eq!(wf.v_diff().len(), wf.len());
         let last = wf.last_state();
         assert_eq!(last.v1, *wf.v1.last().unwrap());
-        assert!((last.v_cm() - 1.65).abs() < 0.2);
+        assert!((0.5 * (last.v1 + last.v2) - 1.65).abs() < 0.2);
     }
 
     #[test]

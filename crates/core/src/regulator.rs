@@ -61,11 +61,6 @@ impl RegulationFsm {
         self.saturated_high = false;
     }
 
-    /// Tick period in seconds.
-    pub fn tick_period(&self) -> f64 {
-        self.tick_period
-    }
-
     /// Number of ticks executed.
     pub fn ticks(&self) -> u64 {
         self.ticks
@@ -91,16 +86,6 @@ impl RegulationFsm {
     /// on a `Below` tick or a code override.
     pub fn saturated_low(&self) -> bool {
         self.saturated_low
-    }
-
-    /// Reads and clears both saturation latches in one step — for safety
-    /// paths that want edge (per-sample) rather than level semantics.
-    /// Returns `(saturated_low, saturated_high)`.
-    pub fn take_saturation(&mut self) -> (bool, bool) {
-        let out = (self.saturated_low, self.saturated_high);
-        self.saturated_low = false;
-        self.saturated_high = false;
-        out
     }
 
     /// Executes one 1 ms tick given the window comparator state; returns
@@ -191,9 +176,6 @@ mod tests {
             fsm.saturated_high(),
             "sample-after-hold must still see the saturation"
         );
-        // Edge semantics via the take-and-clear accessor.
-        assert_eq!(fsm.take_saturation(), (false, true));
-        assert!(!fsm.saturated_high(), "take_saturation clears the latch");
     }
 
     #[test]

@@ -98,9 +98,9 @@ pub struct SimTrace {
     pub events: Vec<SimEvent>,
     /// Cycle mode only: time step between decimated waveform samples.
     /// Kept in lock-step with the ODE step (a function of the tank) and
-    /// the record stride — refreshed by [`ClosedLoopSim::inject_tank`] and
-    /// [`ClosedLoopSim::set_record_stride`], so samples recorded after a
-    /// mid-run change carry the correct timestamps.
+    /// the record stride — refreshed by [`ClosedLoopSim::inject_tank`], so
+    /// samples recorded after a mid-run tank swap carry the correct
+    /// timestamps.
     pub waveform_dt: f64,
     /// Cycle mode only: decimated `v1 − v2` samples.
     pub waveform_vdiff: Vec<f64>,
@@ -271,23 +271,6 @@ impl ClosedLoopSim {
         self.trace.waveform_dt = self.cfg.dt() * self.record_stride as f64;
     }
 
-    /// Sets the cycle-mode waveform decimation (record every `stride`-th
-    /// ODE sample) and updates the trace's `waveform_dt` to match.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stride` is zero.
-    pub fn set_record_stride(&mut self, stride: usize) {
-        assert!(stride > 0, "record stride must be positive");
-        self.record_stride = stride;
-        self.refresh_waveform_dt();
-    }
-
-    /// Cycle-mode waveform decimation stride.
-    pub fn record_stride(&self) -> usize {
-        self.record_stride
-    }
-
     /// The configuration.
     pub fn config(&self) -> &OscillatorConfig {
         &self.cfg
@@ -307,19 +290,6 @@ impl ClosedLoopSim {
     /// events are stamped with.
     pub fn ticks(&self) -> u64 {
         self.fsm.ticks()
-    }
-
-    /// Whether the regulation loop is (latched) saturated at the top code
-    /// while still below the window — the condition the low-amplitude
-    /// safety detector samples. See [`RegulationFsm::saturated_high`].
-    pub fn saturated_high(&self) -> bool {
-        self.fsm.saturated_high()
-    }
-
-    /// Whether the regulation loop is (latched) saturated at the bottom
-    /// code while still above the window.
-    pub fn saturated_low(&self) -> bool {
-        self.fsm.saturated_low()
     }
 
     /// Current per-pin peak amplitude estimate.
@@ -1068,7 +1038,7 @@ mod tests {
         // a mid-run tank swap changes the ODE step (dt tracks f0) and left
         // the decimation metadata stale.
         let mut sim = ClosedLoopSim::new(cycle_cfg()).unwrap();
-        let stride = sim.record_stride() as f64;
+        let stride = sim.record_stride as f64;
         assert!((sim.trace().waveform_dt / (sim.config().dt() * stride) - 1.0).abs() < 1e-12);
         // 4x the inductance halves f0 and doubles dt.
         let tank = LcTank::with_q(
@@ -1084,22 +1054,6 @@ mod tests {
             sim.trace().waveform_dt,
             sim.config().dt() * stride
         );
-    }
-
-    #[test]
-    fn waveform_dt_follows_stride_change() {
-        let mut sim = ClosedLoopSim::new(cycle_cfg()).unwrap();
-        let dt = sim.config().dt();
-        sim.set_record_stride(3);
-        assert_eq!(sim.record_stride(), 3);
-        assert!((sim.trace().waveform_dt / (dt * 3.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_stride_is_rejected() {
-        let mut sim = ClosedLoopSim::new(cycle_cfg()).unwrap();
-        sim.set_record_stride(0);
     }
 
     fn multirate_cfg() -> OscillatorConfig {
@@ -1125,7 +1079,7 @@ mod tests {
         sim.run_ticks(60);
         let stats = sim.mode_stats();
         assert!(stats.mode_switches >= 2, "{stats:?}");
-        assert!(stats.envelope_permille() >= 600, "{stats:?}");
+        assert!(1000 * stats.envelope_ticks >= 600 * 60, "{stats:?}");
         assert_eq!(stats.envelope_ticks + stats.cycle_ticks, 60);
     }
 
@@ -1142,11 +1096,12 @@ mod tests {
         }
         assert_eq!(mr.code(), Code::MAX);
         assert_eq!(mr.code(), cyc.code());
-        assert_eq!(mr.saturated_high(), cyc.saturated_high());
+        assert_eq!(mr.fsm.saturated_high(), cyc.fsm.saturated_high());
         // A fault run still spends the quiet saturated tail in envelope
         // mode — that's where the long-horizon speedup comes from.
         let stats = mr.mode_stats();
-        assert!(stats.envelope_permille() >= 500, "{stats:?}");
+        let ticks = stats.envelope_ticks + stats.cycle_ticks;
+        assert!(1000 * stats.envelope_ticks >= 500 * ticks, "{stats:?}");
     }
 
     #[test]

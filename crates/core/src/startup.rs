@@ -49,11 +49,6 @@ impl StartupSequencer {
         }
     }
 
-    /// Chip-like defaults: NVM read 5 µs after POR, regulation from 1 ms.
-    pub fn chip_default(nvm_code: Code) -> Self {
-        StartupSequencer::new(nvm_code, 5e-6, 1e-3)
-    }
-
     /// The NVM-stored code.
     pub fn nvm_code(&self) -> Code {
         self.nvm_code
@@ -84,9 +79,14 @@ impl StartupSequencer {
 mod tests {
     use super::*;
 
+    /// Chip-like timing: NVM read 5 µs after POR, regulation from 1 ms.
+    fn chip(nvm_code: u32) -> StartupSequencer {
+        StartupSequencer::new(Code::new(nvm_code).unwrap(), 5e-6, 1e-3)
+    }
+
     #[test]
     fn phases_in_order() {
-        let s = StartupSequencer::chip_default(Code::new(60).unwrap());
+        let s = chip(60);
         assert_eq!(s.phase(0.0), StartupPhase::PorPreset);
         assert_eq!(s.phase(1e-6), StartupPhase::PorPreset);
         assert_eq!(s.phase(10e-6), StartupPhase::NvmLoaded);
@@ -95,21 +95,21 @@ mod tests {
 
     #[test]
     fn por_preset_is_code_105() {
-        let s = StartupSequencer::chip_default(Code::new(60).unwrap());
+        let s = chip(60);
         assert_eq!(s.forced_code(0.0), Some(Code::POR_PRESET));
         assert_eq!(s.forced_code(0.0).unwrap().value(), 105);
     }
 
     #[test]
     fn nvm_code_takes_over() {
-        let s = StartupSequencer::chip_default(Code::new(60).unwrap());
+        let s = chip(60);
         assert_eq!(s.forced_code(100e-6), Some(Code::new(60).unwrap()));
         assert_eq!(s.nvm_code().value(), 60);
     }
 
     #[test]
     fn regulation_owns_code_after_start() {
-        let s = StartupSequencer::chip_default(Code::new(60).unwrap());
+        let s = chip(60);
         assert_eq!(s.forced_code(1e-3), None);
     }
 

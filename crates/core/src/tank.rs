@@ -74,13 +74,6 @@ impl LcTank {
             .expect("datasheet constants are valid")
     }
 
-    /// A poor-quality network two decades below the datasheet Q (paper §1:
-    /// "quality factor of the external LC network can vary two decades").
-    pub fn poor_q() -> Self {
-        LcTank::with_q(Henries::from_micro(4.7), Farads::from_nano(1.5), 0.5)
-            .expect("constants are valid")
-    }
-
     /// Inductance.
     pub fn l(&self) -> Henries {
         Henries(self.l)
@@ -119,7 +112,7 @@ impl LcTank {
 
     /// Effective series capacitance seen by the inductor
     /// (`C1·C2 / (C1 + C2)`; `C/2` for a symmetric tank).
-    pub fn c_series(&self) -> Farads {
+    pub(crate) fn c_series(&self) -> Farads {
         Farads(self.c1 * self.c2 / (self.c1 + self.c2))
     }
 
@@ -161,6 +154,17 @@ impl std::fmt::Display for LcTank {
             self.f0(),
             self.q()
         )
+    }
+}
+
+/// Test fixture: a poor-quality network two decades below the datasheet Q
+/// (paper §1: "quality factor of the external LC network can vary two
+/// decades").
+#[cfg(test)]
+impl LcTank {
+    pub(crate) fn poor_q() -> Self {
+        LcTank::with_q(Henries::from_micro(4.7), Farads::from_nano(1.5), 0.5)
+            .expect("constants are valid")
     }
 }
 

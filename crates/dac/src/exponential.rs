@@ -34,23 +34,6 @@ pub fn equivalent_linear_bits() -> u32 {
     32 - full_scale.leading_zeros()
 }
 
-/// Worst-case relative error of the PWL staircase against the matched ideal
-/// exponential over codes `from..=127`.
-///
-/// # Panics
-///
-/// Panics if `from == 0` (the ideal curve is zero there).
-pub fn max_pwl_error(from: u8) -> f64 {
-    assert!(from > 0, "code 0 has no exponential equivalent");
-    Code::all()
-        .filter(|c| c.value() >= from)
-        .map(|c| {
-            let ideal = ideal_exponential(c);
-            (multiplication_factor(c) as f64 / ideal - 1.0).abs()
-        })
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +68,10 @@ mod tests {
         // A linear chord under-approximates 2^x between breakpoints by at
         // most 1 − (ln 2 / (2^(x) ...)) ≈ 6 % for a one-octave chord; the
         // 16-step staircase tracks much closer.
-        let e = max_pwl_error(16);
+        let e = Code::all()
+            .filter(|c| c.value() >= 16)
+            .map(|c| (multiplication_factor(c) as f64 / ideal_exponential(c) - 1.0).abs())
+            .fold(0.0, f64::max);
         assert!(e < 0.0625, "pwl error {e}");
         assert!(e > 0.01, "error should be visible: {e}");
     }
@@ -109,11 +95,5 @@ mod tests {
     #[test]
     fn ideal_is_zero_at_code_zero() {
         assert_eq!(ideal_exponential(Code::MIN), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no exponential equivalent")]
-    fn max_pwl_error_rejects_code_zero() {
-        let _ = max_pwl_error(0);
     }
 }

@@ -64,11 +64,6 @@ impl TransferCurve {
         TransferCurve { lsb }
     }
 
-    /// The paper's chip: 1 LSB = 12.5 µA (Fig 13 caption).
-    pub fn datasheet() -> Self {
-        TransferCurve::new(Amps::from_micro(12.5))
-    }
-
     /// Unit current.
     pub fn lsb(&self) -> Amps {
         self.lsb
@@ -77,25 +72,6 @@ impl TransferCurve {
     /// Limited output current at a code.
     pub fn current(&self, code: Code) -> Amps {
         Amps(multiplication_factor(code) as f64 * self.lsb.value())
-    }
-
-    /// Full-scale output current (code 127).
-    pub fn full_scale(&self) -> Amps {
-        self.current(Code::MAX)
-    }
-
-    /// All 128 `(code, units)` points (Fig 3's staircase).
-    pub fn points(&self) -> Vec<(u8, u32)> {
-        Code::all()
-            .map(|c| (c.value(), multiplication_factor(c)))
-            .collect()
-    }
-
-    /// Smallest code whose output current reaches at least `target`.
-    ///
-    /// Returns `None` if even full scale is below the target.
-    pub fn code_for_current(&self, target: Amps) -> Option<Code> {
-        Code::all().find(|&c| self.current(c).value() >= target.value())
     }
 }
 
@@ -163,26 +139,10 @@ mod tests {
 
     #[test]
     fn datasheet_scaling() {
-        let c = TransferCurve::datasheet();
-        assert!((c.full_scale().value() - 24.8e-3).abs() < 1e-9);
+        // The paper's chip: 1 LSB = 12.5 µA (Fig 13 caption).
+        let c = TransferCurve::new(Amps::from_micro(12.5));
+        assert!((c.current(Code::MAX).value() - 24.8e-3).abs() < 1e-9);
         assert!((c.current(Code::new(16).unwrap()).value() - 200e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn code_for_current_finds_first_sufficient() {
-        let c = TransferCurve::datasheet();
-        let code = c.code_for_current(Amps::from_milli(1.0)).unwrap();
-        // 1 mA / 12.5 µA = 80 units -> first code with M >= 80 is 52
-        // (seg 3: 64 + 4·4 = 80).
-        assert_eq!(code.value(), 52);
-        assert!(c.code_for_current(Amps::from_milli(30.0)).is_none());
-    }
-
-    #[test]
-    fn points_has_128_entries() {
-        let pts = TransferCurve::datasheet().points();
-        assert_eq!(pts.len(), 128);
-        assert_eq!(pts[127], (127, 1984));
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Behavioral comparators.
+//! Behavioral window comparator.
 //!
-//! Two flavors used by the paper's driver:
-//!
-//! - [`Comparator`] — the *fast* comparator between LC1 and LC2 whose output
-//!   is the recovered clock for the missing-oscillation time-out (§7). It
-//!   has input offset, hysteresis and a propagation delay.
-//! - [`WindowComparator`] — the amplitude-regulation window (§4): reports
-//!   whether the filtered amplitude is below, inside or above [low, high].
+//! [`WindowComparator`] is the amplitude-regulation window (§4): it reports
+//! whether the filtered amplitude is below, inside or above [low, high].
 
 /// Output state of a [`WindowComparator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,78 +21,6 @@ impl std::fmt::Display for WindowState {
             WindowState::Inside => write!(f, "inside"),
             WindowState::Above => write!(f, "above"),
         }
-    }
-}
-
-/// Latching comparator with input offset, hysteresis and propagation delay.
-///
-/// Discrete-time: call [`Comparator::update`] once per simulation step with
-/// the differential input and the step size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparator {
-    offset: f64,
-    hysteresis: f64,
-    delay: f64,
-    output: bool,
-    pending: Option<(bool, f64)>,
-}
-
-impl Comparator {
-    /// Creates a comparator with input-referred `offset` (volts), total
-    /// `hysteresis` (volts, centered on the trip point) and propagation
-    /// `delay` (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hysteresis` or `delay` is negative.
-    pub fn new(offset: f64, hysteresis: f64, delay: f64) -> Self {
-        assert!(hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(delay >= 0.0, "delay must be non-negative");
-        Comparator {
-            offset,
-            hysteresis,
-            delay,
-            output: false,
-            pending: None,
-        }
-    }
-
-    /// An ideal comparator: no offset, no hysteresis, no delay.
-    pub fn ideal() -> Self {
-        Comparator::new(0.0, 0.0, 0.0)
-    }
-
-    /// Current output.
-    pub fn output(&self) -> bool {
-        self.output
-    }
-
-    /// Advances the comparator by `dt` seconds with differential input
-    /// `v_diff` and returns the (possibly delayed) output.
-    pub fn update(&mut self, v_diff: f64, dt: f64) -> bool {
-        let v = v_diff - self.offset;
-        let half = 0.5 * self.hysteresis;
-        // Decision with hysteresis around the current *decided* level.
-        let decided = match self.pending {
-            Some((level, _)) => level,
-            None => self.output,
-        };
-        let new_level = if decided { v > -half } else { v > half };
-
-        if new_level != decided {
-            // Schedule a transition after the propagation delay.
-            self.pending = Some((new_level, self.delay));
-        }
-        if let Some((level, remaining)) = self.pending {
-            let remaining = remaining - dt;
-            if remaining <= 0.0 {
-                self.output = level;
-                self.pending = None;
-            } else {
-                self.pending = Some((level, remaining));
-            }
-        }
-        self.output
     }
 }
 
@@ -162,70 +85,6 @@ impl WindowComparator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ideal_comparator_follows_sign() {
-        let mut c = Comparator::ideal();
-        assert!(c.update(1.0, 1e-9));
-        assert!(!c.update(-1.0, 1e-9));
-        assert!(c.update(0.5, 1e-9));
-    }
-
-    #[test]
-    fn offset_shifts_trip_point() {
-        let mut c = Comparator::new(0.1, 0.0, 0.0);
-        assert!(!c.update(0.05, 1e-9));
-        assert!(c.update(0.15, 1e-9));
-    }
-
-    #[test]
-    fn hysteresis_rejects_small_wiggle() {
-        let mut c = Comparator::new(0.0, 0.2, 0.0);
-        // From low state, must exceed +0.1 to trip high.
-        assert!(!c.update(0.05, 1e-9));
-        assert!(c.update(0.15, 1e-9));
-        // From high state, must fall below -0.1 to trip low.
-        assert!(c.update(-0.05, 1e-9));
-        assert!(!c.update(-0.15, 1e-9));
-    }
-
-    #[test]
-    fn propagation_delay_postpones_edge() {
-        let mut c = Comparator::new(0.0, 0.0, 10e-9);
-        // Input steps high; output should lag by ~10 ns.
-        assert!(!c.update(1.0, 4e-9));
-        assert!(!c.update(1.0, 4e-9));
-        assert!(c.update(1.0, 4e-9)); // 12 ns elapsed
-    }
-
-    #[test]
-    fn delayed_glitch_can_cancel() {
-        let mut c = Comparator::new(0.0, 0.0, 10e-9);
-        c.update(1.0, 2e-9); // schedule rise
-        c.update(-1.0, 2e-9); // input returns low: schedule replaced by low
-        for _ in 0..10 {
-            assert!(!c.update(-1.0, 2e-9));
-        }
-    }
-
-    #[test]
-    fn comparator_as_clock_recovery() {
-        // A sine through the comparator yields one rising edge per period.
-        let mut c = Comparator::new(0.0, 0.05, 0.0);
-        let fs = 100.0e6;
-        let f = 3.0e6;
-        let mut edges = 0;
-        let mut prev = false;
-        for i in 0..(fs / f) as usize * 10 {
-            let v = (2.0 * std::f64::consts::PI * f * i as f64 / fs).sin();
-            let out = c.update(v, 1.0 / fs);
-            if out && !prev {
-                edges += 1;
-            }
-            prev = out;
-        }
-        assert_eq!(edges, 10);
-    }
 
     #[test]
     fn window_classification() {

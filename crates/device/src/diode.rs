@@ -43,19 +43,19 @@ impl DiodeModel {
     }
 
     /// Effective thermal slope `n * Vt` in volts.
-    pub fn n_vt(&self) -> f64 {
+    pub(crate) fn n_vt(&self) -> f64 {
         self.n * thermal_voltage(self.temp_k)
     }
 
     /// Critical voltage above which the exponential is linearized
     /// (SPICE-style limiting).
-    pub fn v_crit(&self) -> f64 {
+    pub(crate) fn v_crit(&self) -> f64 {
         let nvt = self.n_vt();
         nvt * (nvt / (self.is * std::f64::consts::SQRT_2)).ln()
     }
 
     /// Diode current at junction voltage `v` (anode minus cathode), with the
-    /// exponential continued linearly above [`DiodeModel::v_crit`].
+    /// exponential continued linearly above the critical voltage `v_crit`.
     pub fn current(&self, v: f64) -> f64 {
         let nvt = self.n_vt();
         let vc = self.v_crit();
@@ -86,17 +86,6 @@ impl DiodeModel {
         let i = self.current(v);
         (g, i - g * v)
     }
-
-    /// Forward voltage needed to conduct `i` amperes (inverse of
-    /// [`DiodeModel::current`] on the exponential branch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not positive.
-    pub fn forward_voltage(&self, i: f64) -> f64 {
-        assert!(i > 0.0, "current must be positive");
-        self.n_vt() * (i / self.is + 1.0).ln()
-    }
 }
 
 #[cfg(test)]
@@ -114,13 +103,6 @@ mod tests {
     fn zero_bias_zero_current() {
         let d = DiodeModel::default();
         assert_eq!(d.current(0.0), 0.0);
-    }
-
-    #[test]
-    fn forward_knee_near_0v6() {
-        let d = DiodeModel::default();
-        let v = d.forward_voltage(1e-3);
-        assert!((0.5..0.75).contains(&v), "knee at {v}");
     }
 
     #[test]
@@ -176,14 +158,6 @@ mod tests {
             let ana = d.conductance(v);
             assert!((num / ana - 1.0).abs() < 1e-4, "at {v}: {num} vs {ana}");
         }
-    }
-
-    #[test]
-    fn forward_voltage_inverts_current() {
-        let d = DiodeModel::bulk_junction_035um();
-        let i = 1e-4;
-        let v = d.forward_voltage(i);
-        assert!((d.current(v) / i - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Device-level building blocks for the `lcosc` reproduction of the DATE'05
 //! LC oscillator driver: a smooth EKV-style MOSFET, a Shockley diode with
 //! junction limiting, ratioed current mirrors with mismatch, and the
-//! supporting blocks the paper's driver relies on (bandgap reference, window
-//! comparator, negative charge pump, power-on reset).
+//! window comparator the paper's regulation loop relies on.
 //!
 //! The models are *behavioral*: first-order physics chosen so the circuit
 //! simulator reproduces the qualitative shapes the paper measures (diode
@@ -25,24 +24,18 @@
 
 #![warn(missing_docs)]
 
-pub mod bandgap;
-pub mod chargepump;
 pub mod comparator;
 pub mod diode;
 pub mod mirror;
 pub mod mismatch;
 pub mod mos;
-pub mod por;
 pub mod process;
 
-pub use bandgap::Bandgap;
-pub use chargepump::NegativeChargePump;
-pub use comparator::{Comparator, WindowComparator, WindowState};
+pub use comparator::{WindowComparator, WindowState};
 pub use diode::DiodeModel;
 pub use mirror::CurrentMirror;
 pub use mismatch::MismatchModel;
 pub use mos::{MosModel, MosOperatingPoint, Polarity};
-pub use por::PowerOnReset;
 pub use process::{Corner, ProcessParams};
 
 /// Thermal voltage kT/q at 300 K in volts.

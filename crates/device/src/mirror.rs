@@ -3,19 +3,14 @@
 //! The paper's current-limitation DAC (Fig 5/6) is built from a prescaler
 //! (ratios 1/2/4/8), two fixed mirror banks (16+16+32+64 units) and a 7-bit
 //! binary-weighted bank (1..64 units). This module models a mirror leg as a
-//! nominal ratio plus sampled mismatch and finite output resistance.
+//! nominal ratio plus sampled mismatch.
 
 use crate::mismatch::MismatchModel;
 
-/// One output leg of a current mirror: `i_out = ratio · i_ref`, with
-/// an optional finite output resistance making the output current depend
-/// (weakly) on output voltage headroom.
+/// One output leg of a current mirror: `i_out = ratio · i_ref`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurrentMirror {
-    nominal: f64,
     actual: f64,
-    /// Output conductance per ampere of output current (1/Early voltage).
-    g_out_per_amp: f64,
 }
 
 impl CurrentMirror {
@@ -26,11 +21,7 @@ impl CurrentMirror {
     /// Panics if `nominal` is not positive.
     pub fn ideal(nominal: f64) -> Self {
         assert!(nominal > 0.0, "mirror ratio must be positive");
-        CurrentMirror {
-            nominal,
-            actual: nominal,
-            g_out_per_amp: 0.0,
-        }
+        CurrentMirror { actual: nominal }
     }
 
     /// Creates a mirror leg whose actual ratio is drawn from `die`.
@@ -41,49 +32,13 @@ impl CurrentMirror {
     pub fn sampled(nominal: f64, die: &mut MismatchModel) -> Self {
         assert!(nominal > 0.0, "mirror ratio must be positive");
         CurrentMirror {
-            nominal,
             actual: die.ratio(nominal),
-            g_out_per_amp: 0.0,
         }
-    }
-
-    /// Sets the finite output conductance as `1 / V_early` (per amp of
-    /// output current), returning the modified leg.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v_early` is not positive.
-    pub fn with_early_voltage(mut self, v_early: f64) -> Self {
-        assert!(v_early > 0.0, "early voltage must be positive");
-        self.g_out_per_amp = 1.0 / v_early;
-        self
-    }
-
-    /// Nominal design ratio.
-    pub fn nominal(&self) -> f64 {
-        self.nominal
     }
 
     /// Actual (mismatched) ratio.
     pub fn actual(&self) -> f64 {
         self.actual
-    }
-
-    /// Relative ratio error `actual/nominal − 1`.
-    pub fn ratio_error(&self) -> f64 {
-        self.actual / self.nominal - 1.0
-    }
-
-    /// Output current for a reference current, ignoring headroom.
-    pub fn output(&self, i_ref: f64) -> f64 {
-        self.actual * i_ref
-    }
-
-    /// Output current including the Early effect: `v_margin` is the voltage
-    /// across the output device beyond its saturation point.
-    pub fn output_at(&self, i_ref: f64, v_margin: f64) -> f64 {
-        let i0 = self.output(i_ref);
-        i0 * (1.0 + self.g_out_per_amp * v_margin)
     }
 }
 
@@ -123,16 +78,6 @@ impl BinaryWeightedBank {
         }
     }
 
-    /// Number of legs.
-    pub fn bits(&self) -> u32 {
-        self.legs.len() as u32
-    }
-
-    /// Individual legs, LSB first.
-    pub fn legs(&self) -> &[CurrentMirror] {
-        &self.legs
-    }
-
     /// Total multiplication for a digital `code` (bit `k` enables leg `k`)
     /// at unit reference current.
     ///
@@ -158,28 +103,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ideal_mirror_scales_exactly() {
-        let m = CurrentMirror::ideal(8.0);
-        assert_eq!(m.output(12.5e-6), 1e-4);
-        assert_eq!(m.ratio_error(), 0.0);
-    }
-
-    #[test]
     fn sampled_mirror_is_near_nominal() {
         let mut die = MismatchModel::new(0.01, 11);
         let m = CurrentMirror::sampled(16.0, &mut die);
-        assert!(m.ratio_error().abs() < 0.05);
-        assert_eq!(m.nominal(), 16.0);
+        assert!((m.actual() / 16.0 - 1.0).abs() < 0.05);
         assert_ne!(m.actual(), 16.0);
-    }
-
-    #[test]
-    fn early_effect_increases_current_with_margin() {
-        let m = CurrentMirror::ideal(1.0).with_early_voltage(20.0);
-        let base = m.output_at(1e-3, 0.0);
-        let high = m.output_at(1e-3, 2.0);
-        assert_eq!(base, 1e-3);
-        assert!((high / base - 1.1).abs() < 1e-12);
     }
 
     #[test]
@@ -217,13 +145,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn mirror_rejects_zero_ratio() {
         let _ = CurrentMirror::ideal(0.0);
-    }
-
-    #[test]
-    fn bank_accessors() {
-        let bank = BinaryWeightedBank::ideal(3);
-        assert_eq!(bank.bits(), 3);
-        assert_eq!(bank.legs().len(), 3);
-        assert_eq!(bank.legs()[2].nominal(), 4.0);
     }
 }

@@ -25,7 +25,6 @@ use rand::{Rng, SeedableRng};
 pub struct MismatchModel {
     sigma_rel: f64,
     rng: StdRng,
-    seed: u64,
 }
 
 impl MismatchModel {
@@ -43,7 +42,6 @@ impl MismatchModel {
         MismatchModel {
             sigma_rel,
             rng: StdRng::seed_from_u64(seed),
-            seed,
         }
     }
 
@@ -52,27 +50,12 @@ impl MismatchModel {
         MismatchModel::new(0.0, 0)
     }
 
-    /// Relative sigma this sampler was built with.
-    pub fn sigma_rel(&self) -> f64 {
-        self.sigma_rel
-    }
-
-    /// Seed this sampler was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Draws one standard normal variate (Box–Muller).
     pub fn standard_normal(&mut self) -> f64 {
         // Box–Muller; u1 in (0, 1] to avoid ln(0).
         let u1: f64 = 1.0 - self.rng.gen::<f64>();
         let u2: f64 = self.rng.gen();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Draws a relative error `1 + σ·N(0,1)`, clamped to stay positive.
-    pub fn relative_error(&mut self) -> f64 {
-        (1.0 + self.sigma_rel * self.standard_normal()).max(1e-6)
     }
 
     /// Samples an actual ratio for a nominal matched-device ratio.
@@ -88,12 +71,6 @@ impl MismatchModel {
         let sigma_eff = self.sigma_rel / nominal.sqrt();
         nominal * (1.0 + sigma_eff * self.standard_normal()).max(1e-6)
     }
-
-    /// Samples an absolute offset voltage with the given sigma in volts
-    /// (comparator/opamp input offsets).
-    pub fn offset_voltage(&mut self, sigma_v: f64) -> f64 {
-        sigma_v * self.standard_normal()
-    }
 }
 
 #[cfg(test)]
@@ -103,9 +80,7 @@ mod tests {
     #[test]
     fn ideal_sampler_returns_exact_values() {
         let mut m = MismatchModel::ideal();
-        assert_eq!(m.relative_error(), 1.0);
         assert_eq!(m.ratio(8.0), 8.0);
-        assert_eq!(m.offset_voltage(0.0), 0.0);
     }
 
     #[test]
@@ -113,7 +88,7 @@ mod tests {
         let mut a = MismatchModel::new(0.01, 7);
         let mut b = MismatchModel::new(0.01, 7);
         for _ in 0..32 {
-            assert_eq!(a.relative_error(), b.relative_error());
+            assert_eq!(a.ratio(8.0), b.ratio(8.0));
         }
     }
 
@@ -121,7 +96,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = MismatchModel::new(0.01, 1);
         let mut b = MismatchModel::new(0.01, 2);
-        let same = (0..16).all(|_| a.relative_error() == b.relative_error());
+        let same = (0..16).all(|_| a.ratio(8.0) == b.ratio(8.0));
         assert!(!same);
     }
 
@@ -151,18 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn relative_error_never_non_positive() {
+    fn ratio_never_non_positive() {
         let mut m = MismatchModel::new(5.0, 3); // absurd sigma
         for _ in 0..1000 {
-            assert!(m.relative_error() > 0.0);
+            assert!(m.ratio(1.0) > 0.0);
         }
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        let m = MismatchModel::new(0.02, 55);
-        assert_eq!(m.sigma_rel(), 0.02);
-        assert_eq!(m.seed(), 55);
     }
 
     #[test]

@@ -108,17 +108,6 @@ impl MosModel {
         self
     }
 
-    /// Returns a copy with a different threshold voltage magnitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vth` is negative.
-    pub fn with_vth(mut self, vth: f64) -> Self {
-        assert!(vth >= 0.0, "vth must be non-negative");
-        self.vth = vth;
-        self
-    }
-
     /// Returns a copy with a different channel-length modulation.
     ///
     /// # Panics
@@ -156,7 +145,7 @@ impl MosModel {
     }
 
     /// Specific current `2 n kp Vt²` of the EKV formulation.
-    pub fn i_spec(&self) -> f64 {
+    pub(crate) fn i_spec(&self) -> f64 {
         let vt = thermal_voltage(self.temp_k);
         2.0 * self.n * self.kp * vt * vt
     }

@@ -85,16 +85,6 @@ impl ProcessParams {
         ProcessParams::new(Corner::Tt, 300.0)
     }
 
-    /// The corner.
-    pub fn corner(&self) -> Corner {
-        self.corner
-    }
-
-    /// The temperature in kelvin.
-    pub fn temp_k(&self) -> f64 {
-        self.temp_k
-    }
-
     /// Applies this condition to a base (TT, 300 K) MOS model.
     ///
     /// Fast devices get more `kp` and less `vth`; temperature degrades
@@ -170,7 +160,9 @@ mod tests {
     #[test]
     fn vth_never_negative() {
         let cond = ProcessParams::new(Corner::Ff, 500.0);
-        let m = cond.apply(&MosModel::nmos_035um().with_vth(0.1));
+        // The 0.35 µm NMOS with a 0.1 V threshold: FF at 500 K would push
+        // it below zero without the clamp.
+        let m = cond.apply(&MosModel::new(Polarity::N, 1.7e-3, 0.1, 1.35, 0.03));
         assert!(m.vth() >= 0.0);
     }
 }

@@ -25,7 +25,7 @@ impl Complex {
     }
 
     /// Squared magnitude, cheaper than [`Complex::abs`].
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -94,7 +94,7 @@ impl Complex {
 /// # Panics
 ///
 /// Panics unless `data.len()` is a power of two (and non-zero).
-pub fn fft_in_place(data: &mut [Complex]) {
+pub(crate) fn fft_in_place(data: &mut [Complex]) {
     let n = data.len();
     assert!(
         n.is_power_of_two() && n > 0,

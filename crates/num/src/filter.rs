@@ -1,5 +1,5 @@
 //! Discrete-time filters used by the amplitude-detection chain: one-pole
-//! low-pass, biquad, moving RMS and a diode-style envelope follower.
+//! low-pass, moving RMS and a diode-style envelope follower.
 
 /// First-order (one-pole) discrete low-pass filter.
 ///
@@ -37,16 +37,6 @@ impl OnePoleLowPass {
         }
     }
 
-    /// Creates the filter from a -3 dB cutoff frequency in hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f_cut` or `dt` is not positive.
-    pub fn from_cutoff(f_cut: f64, dt: f64) -> Self {
-        assert!(f_cut > 0.0, "cutoff must be positive");
-        Self::new(1.0 / (2.0 * std::f64::consts::PI * f_cut), dt)
-    }
-
     /// Pre-loads the internal state (e.g. to start at a DC operating point).
     pub fn reset_to(&mut self, y0: f64) {
         self.y = y0;
@@ -61,78 +51,6 @@ impl OnePoleLowPass {
     /// Current output without advancing the filter.
     pub fn output(&self) -> f64 {
         self.y
-    }
-}
-
-/// Biquad (second-order IIR) filter in direct form I, with a Butterworth
-/// low-pass designer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Biquad {
-    b0: f64,
-    b1: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-    x1: f64,
-    x2: f64,
-    y1: f64,
-    y2: f64,
-}
-
-impl Biquad {
-    /// Creates a biquad from normalized coefficients (`a0 == 1`).
-    pub fn from_coefficients(b0: f64, b1: f64, b2: f64, a1: f64, a2: f64) -> Self {
-        Biquad {
-            b0,
-            b1,
-            b2,
-            a1,
-            a2,
-            x1: 0.0,
-            x2: 0.0,
-            y1: 0.0,
-            y2: 0.0,
-        }
-    }
-
-    /// Designs a second-order Butterworth low-pass via the bilinear transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < f_cut < fs / 2`.
-    pub fn butterworth_lowpass(f_cut: f64, fs: f64) -> Self {
-        assert!(
-            f_cut > 0.0 && f_cut < fs / 2.0,
-            "cutoff must be in (0, fs/2)"
-        );
-        let k = (std::f64::consts::PI * f_cut / fs).tan();
-        let q = std::f64::consts::FRAC_1_SQRT_2;
-        let norm = 1.0 / (1.0 + k / q + k * k);
-        let b0 = k * k * norm;
-        Biquad::from_coefficients(
-            b0,
-            2.0 * b0,
-            b0,
-            2.0 * (k * k - 1.0) * norm,
-            (1.0 - k / q + k * k) * norm,
-        )
-    }
-
-    /// Processes one sample.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let y = self.b0 * x + self.b1 * self.x1 + self.b2 * self.x2
-            - self.a1 * self.y1
-            - self.a2 * self.y2;
-        self.x2 = self.x1;
-        self.x1 = x;
-        self.y2 = self.y1;
-        self.y1 = y;
-        y
-    }
-
-    /// Current output without advancing the filter.
-    pub fn output(&self) -> f64 {
-        self.y1
     }
 }
 
@@ -239,18 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn one_pole_from_cutoff_equivalent_to_tau() {
-        let dt = 1e-6;
-        let f_cut = 1000.0;
-        let a = OnePoleLowPass::from_cutoff(f_cut, dt);
-        let b = OnePoleLowPass::new(1.0 / (2.0 * std::f64::consts::PI * f_cut), dt);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn one_pole_attenuates_fast_sine() {
         let dt = 1e-6;
-        let mut f = OnePoleLowPass::from_cutoff(1e3, dt);
+        // A 1 kHz cutoff: tau = 1 / (2π · 1 kHz).
+        let mut f = OnePoleLowPass::new(1.0 / (2.0 * std::f64::consts::PI * 1e3), dt);
         // 100 kHz sine, two decades above cutoff -> ~40 dB attenuation.
         let mut peak = 0.0f64;
         for i in 0..100_000 {
@@ -274,38 +184,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn one_pole_rejects_zero_tau() {
         let _ = OnePoleLowPass::new(0.0, 1e-6);
-    }
-
-    #[test]
-    fn butterworth_passes_dc() {
-        let mut f = Biquad::butterworth_lowpass(1e3, 1e6);
-        let mut y = 0.0;
-        for _ in 0..100_000 {
-            y = f.update(1.0);
-        }
-        assert!((y - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn butterworth_attenuates_above_cutoff() {
-        let fs = 1e6;
-        let mut f = Biquad::butterworth_lowpass(1e3, fs);
-        let mut peak = 0.0f64;
-        for i in 0..200_000 {
-            let x = (2.0 * std::f64::consts::PI * 1e4 * i as f64 / fs).sin();
-            let y = f.update(x);
-            if i > 100_000 {
-                peak = peak.max(y.abs());
-            }
-        }
-        // Second order: 40 dB/decade -> one decade above cutoff ~ 0.01.
-        assert!(peak < 0.02, "peak {peak}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cutoff")]
-    fn butterworth_rejects_cutoff_above_nyquist() {
-        let _ = Biquad::butterworth_lowpass(6e5, 1e6);
     }
 
     #[test]

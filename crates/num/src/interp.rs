@@ -53,11 +53,6 @@ impl PwlTable {
         Ok(PwlTable { points })
     }
 
-    /// The breakpoints of this table.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// Evaluates the PWL function at `x`, clamping outside the range.
     pub fn eval(&self, x: f64) -> f64 {
         let pts = &self.points;
@@ -72,48 +67,6 @@ impl PwlTable {
         let (x0, y0) = pts[idx - 1];
         let (x1, y1) = pts[idx];
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-
-    /// Returns `true` if the y values are non-decreasing.
-    pub fn is_monotone_nondecreasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[1].1 >= w[0].1)
-    }
-
-    /// Maximum absolute deviation from `f` sampled at `samples` evenly spaced
-    /// points over the table's x range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples < 2`.
-    pub fn max_abs_error<F: Fn(f64) -> f64>(&self, f: F, samples: usize) -> f64 {
-        assert!(samples >= 2, "need at least two samples");
-        let x0 = self.points[0].0;
-        let x1 = self.points[self.points.len() - 1].0;
-        (0..samples)
-            .map(|i| {
-                let x = x0 + (x1 - x0) * i as f64 / (samples - 1) as f64;
-                (self.eval(x) - f(x)).abs()
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Maximum relative deviation `|pwl/f - 1|` over the table range,
-    /// skipping points where `|f| < eps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples < 2`.
-    pub fn max_rel_error<F: Fn(f64) -> f64>(&self, f: F, samples: usize, eps: f64) -> f64 {
-        assert!(samples >= 2, "need at least two samples");
-        let x0 = self.points[0].0;
-        let x1 = self.points[self.points.len() - 1].0;
-        (0..samples)
-            .filter_map(|i| {
-                let x = x0 + (x1 - x0) * i as f64 / (samples - 1) as f64;
-                let fx = f(x);
-                (fx.abs() > eps).then(|| (self.eval(x) / fx - 1.0).abs())
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -143,7 +96,7 @@ mod tests {
     #[test]
     fn eval_exact_breakpoints() {
         let t = table();
-        for &(x, y) in t.points() {
+        for (x, y) in [(0.0, 0.0), (1.0, 10.0), (2.0, 40.0)] {
             assert_eq!(t.eval(x), y);
         }
     }
@@ -162,33 +115,5 @@ mod tests {
     #[test]
     fn rejects_nan() {
         assert!(PwlTable::new(vec![(0.0, f64::NAN), (1.0, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn monotonicity_check() {
-        assert!(table().is_monotone_nondecreasing());
-        let dip = PwlTable::new(vec![(0.0, 0.0), (1.0, 5.0), (2.0, 4.0)]).unwrap();
-        assert!(!dip.is_monotone_nondecreasing());
-    }
-
-    #[test]
-    fn pwl_approximates_exponential_within_segment_error() {
-        // chord of exp on [0, ln2] has max error exp(x)-(1+x/ln2) ~ 0.06
-        let t = PwlTable::new(vec![
-            (0.0, 1.0),
-            (std::f64::consts::LN_2, 2.0),
-            (2.0 * std::f64::consts::LN_2, 4.0),
-        ])
-        .unwrap();
-        let err = t.max_rel_error(f64::exp, 1000, 1e-12);
-        assert!(err < 0.07, "relative error {err}");
-        assert!(err > 0.01, "chord error should be visible, got {err}");
-    }
-
-    #[test]
-    fn max_abs_error_of_self_is_zero() {
-        let t = table();
-        let e = t.max_abs_error(|x| t.eval(x), 100);
-        assert_eq!(e, 0.0);
     }
 }

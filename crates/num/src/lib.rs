@@ -43,7 +43,7 @@ pub mod stats;
 pub mod units;
 
 pub use fft::{dominant_frequency, power_spectrum, Complex};
-pub use filter::{Biquad, EnvelopeFollower, MovingRms, OnePoleLowPass};
+pub use filter::{EnvelopeFollower, MovingRms, OnePoleLowPass};
 pub use interp::PwlTable;
 pub use linalg::{pivot_is_singular, Matrix, SINGULAR_PIVOT_THRESHOLD};
 pub use ode::{rk4_step, OdeSystem};

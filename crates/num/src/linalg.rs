@@ -99,18 +99,8 @@ impl Matrix {
         })
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -133,7 +123,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.cols()`.
+    /// Panics if `x.len()` differs from the column count.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
         let mut y = vec![0.0; self.rows];
@@ -142,18 +132,6 @@ impl Matrix {
             *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
         y
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
     }
 
     /// LU factorization with partial pivoting.
@@ -713,12 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn norm_inf_max_row_sum() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.norm_inf(), 7.0);
-    }
-
-    #[test]
     fn clear_zeroes_everything() {
         let mut a = Matrix::identity(3);
         a.clear();
@@ -854,16 +826,6 @@ impl ComplexMatrix {
             cols,
             data: vec![crate::fft::Complex::default(); rows * cols],
         }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Sets every entry to zero, keeping the allocation.

@@ -115,7 +115,7 @@ pub struct ZeroCrossing {
 ///
 /// Samples exactly at zero are treated as part of the following half-wave.
 /// Returns crossings in time order.
-pub fn zero_crossings(t0: f64, dt: f64, samples: &[f64]) -> Vec<ZeroCrossing> {
+pub(crate) fn zero_crossings(t0: f64, dt: f64, samples: &[f64]) -> Vec<ZeroCrossing> {
     let mut out = Vec::new();
     for w in 1..samples.len() {
         let (a, b) = (samples[w - 1], samples[w]);

@@ -90,11 +90,6 @@ impl SparseMatrix {
         self.n
     }
 
-    /// Number of structural slots.
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
     /// Resets every value to zero, keeping the pattern.
     pub fn clear(&mut self) {
         for v in &mut self.values {
@@ -119,19 +114,6 @@ impl SparseMatrix {
             }
             Err(_) => false,
         }
-    }
-
-    /// Reads slot `(i, j)`; `None` when the slot is not in the pattern.
-    pub fn get(&self, i: usize, j: usize) -> Option<f64> {
-        if i >= self.n || j >= self.n {
-            return None;
-        }
-        let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        self.row_idx[lo..hi]
-            .binary_search(&i)
-            .ok()
-            .map(|pos| self.values[lo + pos])
     }
 }
 
@@ -266,26 +248,9 @@ impl SparseSymbolic {
         self.n
     }
 
-    /// Structural slot count of the analyzed input pattern.
-    pub fn input_nnz(&self) -> usize {
-        self.a_row_idx.len()
-    }
-
     /// Slot count of the `L + U` factor pattern (fill included).
-    pub fn factor_nnz(&self) -> usize {
+    pub(crate) fn factor_nnz(&self) -> usize {
         self.lu_row_idx.len()
-    }
-
-    /// A zero-valued matrix with exactly the analyzed pattern — the
-    /// canonical way to obtain a matrix that [`SparseLu::factor_into`] will
-    /// accept.
-    pub fn matrix(&self) -> SparseMatrix {
-        SparseMatrix {
-            n: self.n,
-            col_ptr: self.a_col_ptr.clone(),
-            row_idx: self.a_row_idx.clone(),
-            values: vec![0.0; self.a_row_idx.len()],
-        }
     }
 
     fn pattern_matches(&self, a: &SparseMatrix) -> bool {
@@ -429,11 +394,6 @@ impl SparseLu {
             values: vec![0.0; nnz],
             work: vec![0.0; n],
         }
-    }
-
-    /// The symbolic analysis this factorization reuses.
-    pub fn symbolic(&self) -> &Arc<SparseSymbolic> {
-        &self.sym
     }
 
     /// Factorizes `a` into the cached pattern (left-looking, fixed pivot
@@ -649,7 +609,7 @@ mod tests {
         }
         let sym = Arc::new(SparseSymbolic::analyze(&a).unwrap());
         // Tridiagonal systems admit an ordering with almost no fill.
-        assert!(sym.factor_nnz() <= sym.input_nnz() + n);
+        assert!(sym.factor_nnz() <= (3 * n - 2) + n);
         let mut lu = SparseLu::new(sym);
         lu.factor_into(&a).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -710,7 +670,6 @@ mod tests {
         assert!(a.add(0, 0, 1.0));
         assert!(!a.add(0, 1, 1.0));
         assert!(!a.add(5, 0, 1.0));
-        assert_eq!(a.get(0, 1), None);
     }
 
     #[test]
@@ -721,16 +680,6 @@ mod tests {
         let mut lu = SparseLu::new(sym);
         let e = lu.factor_into(&other).unwrap_err();
         assert!(matches!(e, NumError::InvalidInput(_)));
-    }
-
-    #[test]
-    fn symbolic_matrix_roundtrip_has_same_pattern() {
-        let a = SparseMatrix::from_pattern(3, &[(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]).unwrap();
-        let sym = SparseSymbolic::analyze(&a).unwrap();
-        let m = sym.matrix();
-        assert_eq!(m.dim(), 3);
-        assert_eq!(m.nnz(), 5);
-        assert!(sym.pattern_matches(&m));
     }
 
     #[test]

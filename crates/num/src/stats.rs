@@ -1,5 +1,5 @@
-//! Descriptive statistics for measurement post-processing: moments, RMS,
-//! percentiles, histograms and least-squares line fits.
+//! Descriptive statistics for measurement post-processing: mean, RMS,
+//! peak-to-peak span and percentiles.
 
 use crate::{NumError, Result};
 
@@ -10,21 +10,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     } else {
         Some(xs.iter().sum::<f64>() / xs.len() as f64)
     }
-}
-
-/// Unbiased sample variance (n − 1 denominator). Returns `None` with fewer
-/// than two samples.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
-/// Sample standard deviation. Returns `None` with fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
 }
 
 /// Root-mean-square value. Returns `None` for an empty slice.
@@ -79,122 +64,18 @@ pub fn percentile(xs: &[f64], p: f64) -> Result<f64> {
     Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Result of a least-squares line fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination R².
-    pub r_squared: f64,
-}
-
-/// Ordinary least-squares fit of `y` against `x`.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] when slices differ in length, hold
-/// fewer than two points, or `x` has zero variance.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Result<LineFit> {
-    if x.len() != y.len() {
-        return Err(NumError::InvalidInput("x and y lengths differ"));
-    }
-    if x.len() < 2 {
-        return Err(NumError::InvalidInput("need at least two points"));
-    }
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let sxx: f64 = x.iter().map(|xi| (xi - mx) * (xi - mx)).sum();
-    let sxy: f64 = x.iter().zip(y).map(|(xi, yi)| (xi - mx) * (yi - my)).sum();
-    let syy: f64 = y.iter().map(|yi| (yi - my) * (yi - my)).sum();
-    if sxx == 0.0 {
-        return Err(NumError::InvalidInput("x has zero variance"));
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let r_squared = if syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    Ok(LineFit {
-        slope,
-        intercept,
-        r_squared,
-    })
-}
-
-/// A simple equal-width histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<usize>,
-    outliers: usize,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(hi > lo, "hi must exceed lo");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            outliers: 0,
-        }
-    }
-
-    /// Adds one sample; values outside the range count as outliers.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo || x >= self.hi || !x.is_finite() {
-            self.outliers += 1;
-            return;
-        }
-        let bin = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
-        let bin = bin.min(self.counts.len() - 1);
-        self.counts[bin] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Number of samples outside the histogram range.
-    pub fn outliers(&self) -> usize {
-        self.outliers
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_basic() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&xs), Some(2.5));
-        assert!((variance(&xs).unwrap() - 5.0 / 3.0).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+    fn mean_basic() {
+        assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), Some(2.5));
     }
 
     #[test]
     fn empty_slices_give_none() {
         assert_eq!(mean(&[]), None);
-        assert_eq!(variance(&[1.0]), None);
         assert_eq!(rms(&[]), None);
         assert_eq!(peak_to_peak(&[]), None);
     }
@@ -247,62 +128,5 @@ mod tests {
                 assert!(matches!(e, NumError::InvalidInput(_)), "p={p} bad={bad}");
             }
         }
-    }
-
-    #[test]
-    fn histogram_counts_infinities_as_outliers() {
-        // ±inf must land in the outlier bucket, not a bin: +inf fails the
-        // `x >= hi` range check and -inf fails `x < lo`, and the explicit
-        // finiteness clause keeps NaN out even if the range tests change.
-        let mut h = Histogram::new(0.0, 10.0, 4);
-        h.add(f64::INFINITY);
-        h.add(f64::NEG_INFINITY);
-        h.add(5.0);
-        assert_eq!(h.outliers(), 2);
-        assert_eq!(h.total(), 1);
-    }
-
-    #[test]
-    fn linear_fit_recovers_exact_line() {
-        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|xi| 3.0 * xi - 7.0).collect();
-        let fit = linear_fit(&x, &y).unwrap();
-        assert!((fit.slope - 3.0).abs() < 1e-12);
-        assert!((fit.intercept + 7.0).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_rejects_degenerate_x() {
-        let e = linear_fit(&[1.0, 1.0], &[0.0, 5.0]).unwrap_err();
-        assert!(matches!(e, NumError::InvalidInput(_)));
-    }
-
-    #[test]
-    fn linear_fit_r_squared_below_one_for_noise() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [0.0, 1.5, 1.4, 3.2];
-        let fit = linear_fit(&x, &y).unwrap();
-        assert!(fit.r_squared < 1.0 && fit.r_squared > 0.5);
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.add(i as f64 + 0.5);
-        }
-        h.add(-1.0);
-        h.add(10.0); // hi is exclusive
-        h.add(f64::NAN);
-        assert_eq!(h.counts(), &[1; 10]);
-        assert_eq!(h.outliers(), 3);
-        assert_eq!(h.total(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "hi must exceed lo")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

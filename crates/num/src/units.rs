@@ -118,18 +118,7 @@ unit!(
     "s"
 );
 
-impl Volts {
-    /// Constructs from millivolts.
-    pub fn from_milli(mv: f64) -> Self {
-        Volts(mv * 1e-3)
-    }
-}
-
 impl Amps {
-    /// Constructs from milliamps.
-    pub fn from_milli(ma: f64) -> Self {
-        Amps(ma * 1e-3)
-    }
     /// Constructs from microamps.
     pub fn from_micro(ua: f64) -> Self {
         Amps(ua * 1e-6)
@@ -154,29 +143,10 @@ impl Henries {
     }
 }
 
-impl Hertz {
-    /// Constructs from megahertz.
-    pub fn from_mega(mhz: f64) -> Self {
-        Hertz(mhz * 1e6)
-    }
-    /// Constructs from kilohertz.
-    pub fn from_kilo(khz: f64) -> Self {
-        Hertz(khz * 1e3)
-    }
-    /// Period of one cycle.
-    pub fn period(self) -> Seconds {
-        Seconds(1.0 / self.0)
-    }
-}
-
 impl Seconds {
     /// Constructs from microseconds.
     pub fn from_micro(us: f64) -> Self {
         Seconds(us * 1e-6)
-    }
-    /// Constructs from milliseconds.
-    pub fn from_milli(ms: f64) -> Self {
-        Seconds(ms * 1e-3)
     }
     /// Constructs from nanoseconds.
     pub fn from_nano(ns: f64) -> Self {
@@ -233,16 +203,11 @@ mod tests {
     fn conversion_constructors() {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
         assert!(close(Amps::from_micro(12.5).value(), 12.5e-6));
-        assert!(close(Amps::from_milli(30.0).value(), 0.030));
         assert!(close(Farads::from_nano(2.2).value(), 2.2e-9));
         assert!(close(Farads::from_pico(10.0).value(), 1e-11));
         assert!(close(Henries::from_micro(4.7).value(), 4.7e-6));
-        assert!(close(Hertz::from_mega(5.0).value(), 5e6));
-        assert!(close(Hertz::from_kilo(480.0).value(), 4.8e5));
-        assert!(close(Seconds::from_milli(1.0).value(), 1e-3));
         assert!(close(Seconds::from_nano(2.0).value(), 2e-9));
         assert!(close(Seconds::from_micro(3.0).value(), 3e-6));
-        assert!(close(Volts::from_milli(250.0).value(), 0.25));
     }
 
     #[test]
@@ -250,12 +215,6 @@ mod tests {
         let v: Volts = 3.3.into();
         let raw: f64 = v.into();
         assert_eq!(raw, 3.3);
-    }
-
-    #[test]
-    fn hertz_period_inverse() {
-        let p = Hertz::from_mega(2.0).period();
-        assert!((p.value() - 5e-7).abs() < 1e-18);
     }
 
     #[test]
@@ -270,7 +229,6 @@ mod tests {
     #[test]
     fn display_carries_symbol() {
         assert_eq!(format!("{}", Amps::from_micro(12.5)), "12.5000µ A");
-        assert_eq!(format!("{}", Hertz::from_mega(3.0)), "3.0000M Hz");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct CornerResult {
 /// # Errors
 ///
 /// Propagates DC solver failures.
-pub fn unsupplied_sweep_at(
+pub(crate) fn unsupplied_sweep_at(
     topology: PadTopology,
     process: &ProcessParams,
     points: usize,

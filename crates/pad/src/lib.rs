@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod corners;
-pub mod guard;
 pub mod topology;
 pub mod unsupplied;
 

@@ -109,11 +109,6 @@ impl MissingClockDetector {
         }
         self.tripped
     }
-
-    /// Whether the time-out has fired.
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
 }
 
 /// Low-amplitude detector: the same rectified/filtered `VDC1` as the
@@ -222,16 +217,16 @@ mod tests {
         let mut d = MissingClockDetector::new(0.05, 100e-6);
         assert!(!d.update(1.0, 50e-6));
         assert!(!d.update(0.0, 50e-6));
-        assert!(!d.tripped());
+        assert!(!d.tripped);
         assert!(d.update(0.0, 60e-6)); // 110 µs quiet
-        assert!(d.tripped());
+        assert!(d.tripped);
     }
 
     #[test]
     fn missing_clock_recovers_on_edges() {
         let mut d = MissingClockDetector::chip_default();
         d.update(0.0, 200e-6);
-        assert!(d.tripped());
+        assert!(d.tripped);
         assert!(!d.update(1.0, 1e-6), "edge clears the timeout");
     }
 
@@ -308,7 +303,7 @@ mod tests {
         // time-out: the clear happens before the comparison, so a live
         // clock can never be reported missing.
         assert!(!d.update(1.0, 500e-6));
-        assert!(!d.tripped());
+        assert!(!d.tripped);
     }
 
     #[test]
@@ -357,12 +352,42 @@ mod tests {
         assert!(!fired, "output {}", d.output());
     }
 
+    /// The analytic form every FMEA mission uses stands for the waveform
+    /// detector: driven with the pin sines, the settled rectifier output
+    /// must equal `(2/π)·(a1 − a2)/2`, and `evaluate_amplitudes` must trip
+    /// exactly where the waveform output crosses a threshold set half that
+    /// value below or above it.
     #[test]
     fn asymmetry_analytic_matches_waveform_version() {
-        let d = AsymmetryDetector::new(1.65, 20e-6, 1e-8, 0.05);
-        assert!(d.evaluate_amplitudes(0.9, 0.5));
-        assert!(!d.evaluate_amplitudes(0.7, 0.7));
-        assert!(!d.evaluate_amplitudes(0.7, 0.65));
+        // Volts of settled rectifier output; the 2 MHz ripple left by the
+        // 20 µs filter is about 0.3 mV at the largest asymmetry here.
+        const TOL: f64 = 1e-3;
+        let (f, dt) = (1e6, 1e-8);
+        for (a1, a2) in [(0.9, 0.5), (0.7, 0.7), (0.7, 0.65)] {
+            let mut d = AsymmetryDetector::new(1.65, 20e-6, dt, CHIP_ASYMMETRY_THRESHOLD);
+            let mut fired = false;
+            for k in 0..200_000 {
+                let s = (2.0 * std::f64::consts::PI * f * k as f64 * dt).sin();
+                fired = d.update(1.65 + a1 * s, 1.65 - a2 * s);
+            }
+            let analytic = std::f64::consts::FRAC_2_PI * 0.5 * (a1 - a2);
+            let out = d.output();
+            assert!(
+                (out - analytic).abs() < TOL,
+                "({a1}, {a2}): {out} vs {analytic}"
+            );
+            assert_eq!(d.evaluate_amplitudes(a1, a2), fired, "({a1}, {a2})");
+            for threshold in [0.5 * analytic, 1.5 * analytic] {
+                if threshold > 0.0 {
+                    let t = AsymmetryDetector::new(1.65, 20e-6, dt, threshold);
+                    assert_eq!(
+                        t.evaluate_amplitudes(a1, a2),
+                        out.abs() > threshold,
+                        "({a1}, {a2}) at threshold {threshold}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

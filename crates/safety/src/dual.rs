@@ -77,11 +77,6 @@ impl DualSystem {
         })
     }
 
-    /// Access to the surviving system's simulation.
-    pub fn survivor(&self) -> &ClosedLoopSim {
-        &self.survivor
-    }
-
     /// Runs the full experiment: settle both systems, kill the partner's
     /// supply, let the survivor re-regulate.
     ///

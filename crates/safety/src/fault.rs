@@ -59,12 +59,6 @@ impl Fault {
         ]
     }
 
-    /// Whether this fault is external to the chip (the paper's FMEA scope
-    /// for "every external error condition").
-    pub fn is_external(&self) -> bool {
-        !matches!(self, Fault::DriverDead)
-    }
-
     /// The faulted tank, when the fault acts on the external network.
     /// Returns `None` for faults that do not modify the tank itself, and
     /// for a fault whose tank is not valid (see
@@ -126,15 +120,6 @@ mod tests {
     #[test]
     fn catalog_covers_eleven_faults() {
         assert_eq!(Fault::catalog().len(), 11);
-    }
-
-    #[test]
-    fn only_driver_failure_is_internal() {
-        let internals: Vec<Fault> = Fault::catalog()
-            .into_iter()
-            .filter(|f| !f.is_external())
-            .collect();
-        assert_eq!(internals, vec![Fault::DriverDead]);
     }
 
     #[test]

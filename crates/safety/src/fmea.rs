@@ -2,7 +2,6 @@
 //! analysis (FMEA) on design and system levels ... for every external error
 //! condition the application must remain safe").
 
-use crate::detectors::DetectorKind;
 use crate::fault::Fault;
 use crate::scenario::{run_scenario_mission, ScenarioResult, SCENARIO_POST_FAULT_TICKS};
 use lcosc_campaign::{Campaign, CampaignStats, Json};
@@ -144,7 +143,7 @@ impl FmeaReport {
     }
 
     /// Fraction of faults that leave the system safe.
-    pub fn safety_coverage(&self) -> f64 {
+    pub(crate) fn safety_coverage(&self) -> f64 {
         if self.entries.is_empty() {
             return 1.0;
         }
@@ -171,15 +170,6 @@ impl FmeaReport {
     /// Rows where the system is unsafe (must be empty for sign-off).
     pub fn unsafe_entries(&self) -> Vec<&FmeaEntry> {
         self.entries.iter().filter(|e| !e.safe).collect()
-    }
-
-    /// Faults detected by a particular detector.
-    pub fn detected_by(&self, kind: DetectorKind) -> Vec<Fault> {
-        self.entries
-            .iter()
-            .filter(|e| e.result.triggered.contains(&kind))
-            .map(|e| e.result.fault)
-            .collect()
     }
 
     /// Serializes the matrix as an ordered [`Json`] tree with byte-stable
@@ -255,6 +245,7 @@ impl std::fmt::Display for FmeaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detectors::DetectorKind;
 
     fn report() -> FmeaReport {
         FmeaReport::run(&OscillatorConfig::fast_test()).unwrap()
@@ -297,7 +288,7 @@ mod tests {
             DetectorKind::Asymmetry,
         ] {
             assert!(
-                !r.detected_by(kind).is_empty(),
+                r.entries.iter().any(|e| e.result.triggered.contains(&kind)),
                 "{kind} detector never fires"
             );
         }

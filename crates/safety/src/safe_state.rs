@@ -49,15 +49,10 @@ impl SafeStateController {
         SafeStateController::default()
     }
 
-    /// The first detector that latched the safe state, if any.
-    pub fn latched(&self) -> Option<DetectorKind> {
-        self.latched
-    }
-
     /// Applies the reaction policy: on any detection, force the driver to
     /// maximum output current (a last-ditch attempt to keep/restart the
     /// oscillation for diagnosis) and put the outputs in safe mode. The
-    /// state latches until [`SafeStateController::reset`].
+    /// state latches for the rest of the run.
     pub fn react(&mut self, triggered: &[DetectorKind], sim: &mut ClosedLoopSim) -> SystemOutputs {
         self.react_traced(triggered, sim, &Trace::off())
     }
@@ -89,11 +84,6 @@ impl SafeStateController {
             SystemOutputs::normal()
         }
     }
-
-    /// Clears the latch (power cycle / diagnostic reset).
-    pub fn reset(&mut self) {
-        self.latched = None;
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +101,7 @@ mod tests {
         let mut s = sim();
         let out = ctl.react(&[], &mut s);
         assert_eq!(out, SystemOutputs::normal());
-        assert!(ctl.latched().is_none());
+        assert!(ctl.latched.is_none());
     }
 
     #[test]
@@ -123,7 +113,7 @@ mod tests {
         let out = ctl.react(&[DetectorKind::LowAmplitude], &mut s);
         assert_eq!(out, SystemOutputs::safe());
         assert_eq!(s.code(), Code::MAX);
-        assert_eq!(ctl.latched(), Some(DetectorKind::LowAmplitude));
+        assert_eq!(ctl.latched, Some(DetectorKind::LowAmplitude));
     }
 
     #[test]
@@ -143,9 +133,9 @@ mod tests {
             &[DetectorKind::Asymmetry, DetectorKind::LowAmplitude],
             &mut s,
         );
-        assert_eq!(ctl.latched(), Some(DetectorKind::Asymmetry));
+        assert_eq!(ctl.latched, Some(DetectorKind::Asymmetry));
         ctl.react(&[DetectorKind::MissingOscillation], &mut s);
-        assert_eq!(ctl.latched(), Some(DetectorKind::Asymmetry));
+        assert_eq!(ctl.latched, Some(DetectorKind::Asymmetry));
     }
 
     #[test]
@@ -172,15 +162,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn reset_returns_to_normal() {
-        let mut ctl = SafeStateController::new();
-        let mut s = sim();
-        ctl.react(&[DetectorKind::LowAmplitude], &mut s);
-        ctl.reset();
-        let out = ctl.react(&[], &mut s);
-        assert_eq!(out, SystemOutputs::normal());
     }
 }

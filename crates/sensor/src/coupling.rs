@@ -37,11 +37,6 @@ impl RotorCoupling {
         self.k_peak
     }
 
-    /// Electrical pole pairs.
-    pub fn pole_pairs(&self) -> u32 {
-        self.pole_pairs
-    }
-
     /// Signed coupling factors `(k_sin, k_cos)` at mechanical angle
     /// `theta` radians.
     pub fn at(&self, theta: f64) -> (f64, f64) {

@@ -40,11 +40,6 @@ impl PositionDecoder {
         }
     }
 
-    /// Expected magnitude.
-    pub fn magnitude_nominal(&self) -> f64 {
-        self.magnitude_nominal
-    }
-
     /// Decodes one sample pair from the sine/cosine channels.
     pub fn decode(&self, ch_sin: f64, ch_cos: f64) -> DecodedPosition {
         DecodedPosition {

@@ -13,8 +13,8 @@ use lcosc_num::filter::OnePoleLowPass;
 /// Feed the raw received sample and the excitation-reference sample every
 /// step; the output settles to `gain · k · A²/2` where `A` is the carrier
 /// amplitude and `k` the signed coupling (the `A²/2` comes from
-/// `sin² = (1 − cos 2ωt)/2`). Use [`SynchronousDemodulator::normalized`]
-/// with the known carrier amplitude to recover `k` itself.
+/// `sin² = (1 − cos 2ωt)/2`), so `k = 2·out/(gain·A²)` for a known
+/// carrier amplitude.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynchronousDemodulator {
     gain: f64,
@@ -52,22 +52,6 @@ impl SynchronousDemodulator {
     /// Current filtered output.
     pub fn output(&self) -> f64 {
         self.lpf.output()
-    }
-
-    /// Converts the output back to a coupling estimate given the carrier
-    /// peak amplitude: `k ≈ 2·out / (gain·A²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `carrier_peak` is not positive.
-    pub fn normalized(&self, carrier_peak: f64) -> f64 {
-        assert!(carrier_peak > 0.0, "carrier amplitude must be positive");
-        2.0 * self.output() / (self.gain * carrier_peak * carrier_peak)
-    }
-
-    /// Resets the filter state.
-    pub fn reset(&mut self) {
-        self.lpf.reset_to(0.0);
     }
 }
 
@@ -114,7 +98,8 @@ mod tests {
             let carrier = a * (2.0 * std::f64::consts::PI * F * i as f64 * DT).sin();
             d.update(k * carrier, carrier);
         }
-        assert!((d.normalized(a) - k).abs() < 0.01, "{}", d.normalized(a));
+        let k_out = 2.0 * d.output() / (d.gain * a * a);
+        assert!((k_out - k).abs() < 0.01, "{k_out}");
     }
 
     #[test]
@@ -147,14 +132,6 @@ mod tests {
         let mut d = SynchronousDemodulator::new(1.0, 0.5, 50e-6, DT);
         run(&mut d, 0.0, 1.0, 400);
         assert!(d.output().abs() < 5e-3, "{}", d.output());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut d = SynchronousDemodulator::typical(DT);
-        run(&mut d, 0.25, 1.0, 100);
-        d.reset();
-        assert_eq!(d.output(), 0.0);
     }
 
     #[test]

@@ -160,7 +160,7 @@ mod tests {
         assert!(!m.valid);
         // With the sine channel dead the magnitude drops below nominal at
         // angles where sine should dominate.
-        assert!(m.position.magnitude < s.decoder.magnitude_nominal());
+        assert!(m.position.magnitude < s.diagnostics.magnitude_nominal);
     }
 
     #[test]

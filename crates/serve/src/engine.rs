@@ -73,13 +73,6 @@ pub struct ServeCounters {
     pub cache_misses: u64,
 }
 
-impl ServeCounters {
-    /// Total requests answered.
-    pub fn total(&self) -> u64 {
-        self.by_status.iter().sum()
-    }
-}
-
 fn status_index(s: ServeStatus) -> usize {
     match s {
         ServeStatus::Ok => 0,

@@ -64,7 +64,7 @@ impl Preset {
     }
 }
 
-/// Stable protocol token for a fault (the inverse of [`parse_fault`];
+/// Stable protocol token for a fault (the inverse of `parse_fault`;
 /// pin / factor payloads travel in separate request fields).
 pub fn fault_token(fault: Fault) -> &'static str {
     match fault {
@@ -85,7 +85,11 @@ pub fn fault_token(fault: Fault) -> &'static str {
 /// # Errors
 ///
 /// Returns a message naming the missing or out-of-range field.
-pub fn parse_fault(token: &str, pin: Option<i64>, factor: Option<f64>) -> Result<Fault, String> {
+pub(crate) fn parse_fault(
+    token: &str,
+    pin: Option<i64>,
+    factor: Option<f64>,
+) -> Result<Fault, String> {
     let need_pin = || -> Result<usize, String> {
         match pin {
             Some(0) => Ok(0),
@@ -177,19 +181,6 @@ impl Request {
             Request::Stats => ServeKind::Stats,
             Request::Shutdown => ServeKind::Shutdown,
         }
-    }
-
-    /// Whether responses to this request may be served from the
-    /// content-addressed cache. Only simulation kinds are cacheable;
-    /// `stats` and `shutdown` answers depend on server state.
-    pub fn cacheable(&self) -> bool {
-        matches!(
-            self,
-            Request::Transient { .. }
-                | Request::Scenario { .. }
-                | Request::Campaign(_)
-                | Request::Prove { .. }
-        )
     }
 }
 
@@ -609,20 +600,5 @@ mod tests {
             ),
             r#"{"id":null,"status":"bad_request","error":"broken \"line\""}"#
         );
-    }
-
-    #[test]
-    fn only_simulation_kinds_are_cacheable() {
-        assert!(
-            parse_request(&parse_line(r#"{"kind":"scenario","fault":"open_coil"}"#))
-                .map(|r| r.cacheable())
-                .expect("parses")
-        );
-        assert!(Request::Prove {
-            preset: Preset::FastTest
-        }
-        .cacheable());
-        assert!(!Request::Stats.cacheable());
-        assert!(!Request::Shutdown.cacheable());
     }
 }

@@ -41,7 +41,7 @@
 //!     action: StepAction::Increment,
 //!     window: WindowClass::Below,
 //! });
-//! assert_eq!(sink.len(), 1);
+//! assert_eq!(sink.snapshot().len(), 1);
 //! // Disabled tracing costs one branch and never builds the event:
 //! Trace::off().emit(|| unreachable!());
 //! ```

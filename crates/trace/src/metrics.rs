@@ -52,21 +52,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest sample recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample value, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// Renders as a compact JSON object with only the non-empty buckets
     /// (`"b<k>"` keys in ascending k), plus count/sum/max — all integers,
     /// so the output is byte-stable.
@@ -318,8 +303,8 @@ mod tests {
         for v in [0, 1, 2, 3, 4, 7, 8, 1023] {
             h.record(v);
         }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.max(), 1023);
+        assert_eq!(h.count, 8);
+        assert_eq!(h.max, 1023);
         let json = h.render_json();
         // v=0 -> b0, v=1 -> b1, v=2,3 -> b2, v=4,7 -> b3, v=8 -> b4,
         // v=1023 -> b10.
@@ -327,14 +312,12 @@ mod tests {
             json,
             r#"{"count":8,"sum":1048,"max":1023,"b0":1,"b1":1,"b2":2,"b3":2,"b4":1,"b10":1}"#
         );
-        assert!((h.mean().unwrap() - 131.0).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_histogram_renders_and_has_no_mean() {
+    fn empty_histogram_renders() {
         let h = Histogram::new();
         assert_eq!(h.render_json(), r#"{"count":0,"sum":0,"max":0}"#);
-        assert!(h.mean().is_none());
     }
 
     #[test]
@@ -347,12 +330,12 @@ mod tests {
             m.fold(&step(t, StepAction::Hold, WindowClass::Inside));
         }
         // The Below run (3 ticks) is complete; the Inside run is open.
-        assert_eq!(m.window_dwell[0].count(), 1);
-        assert_eq!(m.window_dwell[0].max(), 3);
-        assert_eq!(m.window_dwell[1].count(), 0);
+        assert_eq!(m.window_dwell[0].count, 1);
+        assert_eq!(m.window_dwell[0].max, 3);
+        assert_eq!(m.window_dwell[1].count, 0);
         m.finish();
-        assert_eq!(m.window_dwell[1].count(), 1);
-        assert_eq!(m.window_dwell[1].max(), 5);
+        assert_eq!(m.window_dwell[1].count, 1);
+        assert_eq!(m.window_dwell[1].max, 5);
         assert_eq!(m.code_increments, 3);
         assert_eq!(m.code_holds, 5);
         assert_eq!(m.window_ticks, [3, 5, 0]);
@@ -379,7 +362,7 @@ mod tests {
         // Wall-clock data only appears in the timing rendering.
         assert!(!m.render_json().contains("wall"));
         assert!(m.render_timing_json().contains("job_wall_ns"));
-        assert_eq!(m.job_wall_ns.count(), 1);
+        assert_eq!(m.job_wall_ns.count, 1);
     }
 
     #[test]
@@ -411,7 +394,7 @@ mod tests {
         let timing = m.render_timing_json();
         assert!(timing.contains("serve_wall_ns"));
         assert!(timing.contains("serve_queue_depth"));
-        assert_eq!(m.serve_wall_ns.count(), 1);
-        assert_eq!(m.serve_queue_depth.max(), 3);
+        assert_eq!(m.serve_wall_ns.count, 1);
+        assert_eq!(m.serve_queue_depth.max, 3);
     }
 }

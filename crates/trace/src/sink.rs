@@ -105,16 +105,6 @@ impl MemorySink {
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *lock_unpoisoned(&self.events))
     }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.events).len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -178,7 +168,7 @@ mod tests {
         assert_eq!(evs.len(), 5);
         assert_eq!(evs[3], step(3));
         assert_eq!(mem.take().len(), 5);
-        assert!(mem.is_empty());
+        assert!(mem.snapshot().is_empty());
     }
 
     #[test]
@@ -187,8 +177,8 @@ mod tests {
         let b = Arc::new(MemorySink::new());
         let t = Trace::new(Arc::new(FanoutSink::new(vec![a.clone(), b.clone()])));
         t.emit(|| step(1));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
+        assert_eq!(a.snapshot().len(), 1);
+        assert_eq!(b.snapshot().len(), 1);
     }
 
     #[test]

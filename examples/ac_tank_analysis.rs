@@ -9,6 +9,7 @@
 use lcosc::circuit::analysis::ac::{ac_sweep, logspace};
 use lcosc::circuit::netlist::{Netlist, Waveform};
 use lcosc::core::tank::LcTank;
+use lcosc::spice::render_netlist;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tank = LcTank::datasheet_3mhz();
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     nl.inductor(lc1, mid, tank.l().value());
     nl.resistor(mid, lc2, tank.rs().value());
 
-    println!("netlist:\n{}", nl.listing());
+    println!("netlist:\n{}", render_netlist(&nl, "fig 1 tank", None));
 
     let f0 = tank.f0().value();
     let freqs = logspace(f0 / 4.0, f0 * 4.0, 41);

@@ -2,16 +2,17 @@
 //! configurations.
 //!
 //! ```text
-//! lcosc-check [--json] netlist <deck.cir|deck.sp> lint a SPICE-style deck
+//! lcosc-check [--json] netlist <deck.sp>         lint a SPICE deck
 //! lcosc-check [--json] [--prove] config <preset> lint (and prove) a preset
 //! lcosc-check [--json] prove-faults <preset>     prove the 11-fault fitments
 //! lcosc-check list-codes                         print the diagnostic registry
 //! lcosc-check explain <CODE>                     describe one diagnostic code
 //! ```
 //!
-//! `.sp` files go through the `lcosc-spice` front end (`P0xx` parse
-//! diagnostics plus the netlist lint); any other extension uses the
-//! legacy line-oriented deck reader.
+//! Every deck, whatever its file name, goes through the `lcosc-spice`
+//! front end: `P0xx` parse diagnostics plus the netlist lint. A deck that
+//! fails to parse exits 2; under `--json` its one `P0xx` error is still
+//! printed as a report.
 //!
 //! `--prove` runs the `A0xx` static safety prover on top of the concrete
 //! lint: interval abstract interpretation of the DAC over its whole
@@ -23,14 +24,14 @@
 //! diagnostic was found or a proof obligation was refuted, 2 on usage or
 //! parse failures.
 
-use lcosc::check::{describe, parse_deck, Report, ALL_CODES};
+use lcosc::check::{describe, Report, ALL_CODES};
 use lcosc::core::OscillatorConfig;
 use lcosc::proving;
 use lcosc::safety::scenario::check_scenario;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: lcosc-check [--json] netlist <deck.cir|deck.sp>
+usage: lcosc-check [--json] netlist <deck.sp>
        lcosc-check [--json] [--prove] config <datasheet_3mhz|low_q|fast_test>
        lcosc-check [--json] prove-faults <datasheet_3mhz|low_q|fast_test>
        lcosc-check list-codes
@@ -89,23 +90,20 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            if path.ends_with(".sp") {
-                // SPICE dialect: the deck's check() folds the parser's
-                // P0xx warnings into the netlist lint.
-                match lcosc::spice::parse_spice(&text) {
-                    Ok(deck) => finish(&deck.check(), json),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        ExitCode::from(2)
+            // The deck's check() folds the parser's P0xx warnings into the
+            // netlist lint; a fatal parse error exits 2, and under --json it
+            // is still a report, worded as check() words those warnings.
+            match lcosc::spice::parse_spice(&text) {
+                Ok(deck) => finish(&deck.check(), json),
+                Err(e) => {
+                    eprintln!("{path}: {e}");
+                    if json {
+                        let mut report = Report::new();
+                        let message = format!("line {}, col {}: {}", e.line, e.col, e.message);
+                        report.error(e.code, message, None);
+                        println!("{}", report.render_json());
                     }
-                }
-            } else {
-                match parse_deck(&text) {
-                    Ok(nl) => finish(&lcosc::check::check_netlist(&nl), json),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        ExitCode::from(2)
-                    }
+                    ExitCode::from(2)
                 }
             }
         }
