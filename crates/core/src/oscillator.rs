@@ -160,9 +160,9 @@ impl OscillatorModel {
     }
 
     /// Runs for `duration` seconds with step `dt`, recording every
-    /// `stride`-th sample. Steps through the cycle stepper: exact inside
-    /// each region of the `LinearSaturate` driver, RK4 across a region
-    /// boundary and for the other shapes.
+    /// `stride`-th sample. The `ceil(duration / dt)` steps are one span of
+    /// the cycle stepper: exact inside each region of the `LinearSaturate`
+    /// driver, RK4 across a region boundary and for the other shapes.
     ///
     /// # Panics
     ///
@@ -184,13 +184,13 @@ impl OscillatorModel {
             il: Vec::with_capacity(steps / stride + 1),
         };
         wf.push(&state);
-        let mut stepper = CycleStepper::new(self.clone());
-        for k in 1..=steps {
-            stepper.step(&mut state, dt);
-            if k % stride == 0 {
-                wf.push(&state);
+        let mut k = 0usize;
+        CycleStepper::new(self.clone()).span(&mut state, &mut 0.0, f64::INFINITY, dt, steps, |x| {
+            k += 1;
+            if k.is_multiple_of(stride) {
+                wf.push(x);
             }
-        }
+        });
         wf
     }
 
@@ -283,6 +283,10 @@ const LOW: usize = 2;
 /// drivers always take that RK4 step. So the driver shape alone picks the
 /// path.
 ///
+/// It steps in spans ([`CycleStepper::span`]): one loop that classifies
+/// its start state once and keeps the state, the clock, the region and
+/// the region's propagator in locals until a step ends in another region.
+///
 /// The stepper owns its model, so the table can never outlive the model
 /// it was filled for: [`CycleStepper::model_mut`] empties it, and a new
 /// step size does too.
@@ -293,11 +297,6 @@ pub(crate) struct CycleStepper {
     /// Bit `r` set: `table[r]` holds region `r`'s propagator.
     filled: u128,
     table: Box<[Affine; REGIONS]>,
-    /// The state the last step ended in and its region. The next step
-    /// starts there unless the caller moved the state, so each state is
-    /// classified once; NaN (equal to nothing) until the first step.
-    end: [f64; 3],
-    end_region: usize,
 }
 
 /// How [`CycleStepper`] steps its model.
@@ -320,13 +319,13 @@ struct Affine {
 
 impl Affine {
     #[inline(always)]
-    fn apply(&self, x: [f64; 3]) -> [f64; 3] {
+    fn apply(&self, x: &OscillatorState) -> OscillatorState {
         let (p, g) = (&self.phi, &self.gamma);
-        [
-            p[0][0] * x[0] + p[0][1] * x[1] + p[0][2] * x[2] + g[0],
-            p[1][0] * x[0] + p[1][1] * x[1] + p[1][2] * x[2] + g[1],
-            p[2][0] * x[0] + p[2][1] * x[1] + p[2][2] * x[2] + g[2],
-        ]
+        OscillatorState {
+            v1: p[0][0] * x.v1 + p[0][1] * x.v2 + p[0][2] * x.il + g[0],
+            v2: p[1][0] * x.v1 + p[1][1] * x.v2 + p[1][2] * x.il + g[1],
+            il: p[2][0] * x.v1 + p[2][1] * x.v2 + p[2][2] * x.il + g[2],
+        }
     }
 }
 
@@ -373,11 +372,11 @@ impl Pieces {
         }
     }
 
-    /// Region index of `x = [v1, v2, iL]`. Stage 1 drives LC1 from v2,
-    /// stage 2 drives LC2 from v1.
+    /// Region index of a state; the coil current plays no part. Stage 1
+    /// drives LC1 from v2, stage 2 drives LC2 from v1.
     #[inline(always)]
-    fn region(&self, x: [f64; 3]) -> usize {
-        ((self.stage(x[1]) * 3 + self.stage(x[0])) * 3 + self.clamp(x[0])) * 3 + self.clamp(x[1])
+    fn region(&self, x: &OscillatorState) -> usize {
+        ((self.stage(x.v2) * 3 + self.stage(x.v1)) * 3 + self.clamp(x.v1)) * 3 + self.clamp(x.v2)
     }
 
     /// The region's `A` and `b` of `x' = A·x + b`, from the circuit
@@ -424,8 +423,6 @@ impl CycleStepper {
             path: Path::Unprepared,
             filled: 0,
             table: Box::new([Affine::default(); REGIONS]),
-            end: [f64::NAN; 3],
-            end_region: 0,
         }
     }
 
@@ -441,11 +438,26 @@ impl CycleStepper {
         &mut self.model
     }
 
-    /// Advances `state` by one step of size `dt`: exactly when the step
-    /// stays inside one region of the `LinearSaturate` driver, otherwise by
-    /// [`OscillatorModel::step`].
-    #[inline]
-    pub(crate) fn step(&mut self, state: &mut OscillatorState, dt: f64) {
+    /// Steps `state` by `dt` from time `*t`, at most `steps` times and
+    /// while `*t < t_end`, adding `dt` to the clock after each step and
+    /// handing each step's end state to `visit`.
+    ///
+    /// A step of the `LinearSaturate` driver is exact while it stays in the
+    /// region it starts in; one that ends in another region is redone by
+    /// [`OscillatorModel::step`], after which the span loads the new
+    /// region's propagator. The other drivers take that RK4 step every
+    /// time. The model cannot change during a span, so the start state is
+    /// the only one classified from scratch.
+    #[inline(always)]
+    pub(crate) fn span(
+        &mut self,
+        state: &mut OscillatorState,
+        t: &mut f64,
+        t_end: f64,
+        dt: f64,
+        steps: usize,
+        mut visit: impl FnMut(&OscillatorState),
+    ) {
         let ready = match self.path {
             Path::Exact(pieces) => pieces.dt == dt,
             Path::Rk4 => true,
@@ -454,10 +466,56 @@ impl CycleStepper {
         if !ready {
             self.prepare(dt);
         }
+        let (mut x, mut clock, mut n) = (*state, *t, 0usize);
         match self.path {
-            Path::Exact(pieces) => self.exact_step(pieces, state),
-            _ => self.model.step(state, dt),
+            Path::Exact(pieces) => {
+                let mut region = pieces.region(&x);
+                let mut map = self.propagator(pieces, region);
+                while n < steps && clock < t_end {
+                    let y = map.apply(&x);
+                    if pieces.region(&y) == region {
+                        // A rung-down coil current decays geometrically
+                        // towards zero; in the subnormal range every
+                        // multiply by it takes an x86 microcode assist,
+                        // several times the whole step. Flush it.
+                        x = OscillatorState {
+                            il: if y.il.abs() < f64::MIN_POSITIVE {
+                                0.0
+                            } else {
+                                y.il
+                            },
+                            ..y
+                        };
+                    } else {
+                        x = self.rk4(x, dt);
+                        region = pieces.region(&x);
+                        map = self.propagator(pieces, region);
+                    }
+                    clock += dt;
+                    n += 1;
+                    visit(&x);
+                }
+            }
+            _ => {
+                while n < steps && clock < t_end {
+                    x = self.rk4(x, dt);
+                    clock += dt;
+                    n += 1;
+                    visit(&x);
+                }
+            }
         }
+        *state = x;
+        *t = clock;
+    }
+
+    /// One [`OscillatorModel::step`] from `x`, taken on a copy so that a
+    /// span's state never has its address taken and can stay in registers.
+    #[inline(always)]
+    fn rk4(&self, x: OscillatorState, dt: f64) -> OscillatorState {
+        let mut y = x;
+        self.model.step(&mut y, dt);
+        y
     }
 
     /// Picks the path for the model at step `dt` and empties the table.
@@ -466,7 +524,6 @@ impl CycleStepper {
     fn prepare(&mut self, dt: f64) {
         let model = &self.model;
         self.filled = 0;
-        self.end = [f64::NAN; 3];
         self.path = match model.driver().shape() {
             DriverShape::LinearSaturate { gm } => Path::Exact(Pieces {
                 dt,
@@ -480,38 +537,16 @@ impl CycleStepper {
         };
     }
 
+    /// Region `region`'s propagator, built on the region's first visit.
     #[inline(always)]
-    fn exact_step(&mut self, pieces: Pieces, state: &mut OscillatorState) {
-        let x = [state.v1, state.v2, state.il];
-        let region = if x == self.end {
-            self.end_region
-        } else {
-            pieces.region(x)
-        };
+    fn propagator(&mut self, pieces: Pieces, region: usize) -> Affine {
         if self.filled & (1u128 << region) == 0 {
             self.fill(pieces, region);
         }
-        let y = self.table[region].apply(x);
-        if pieces.region(y) == region {
-            state.v1 = y[0];
-            state.v2 = y[1];
-            // A rung-down coil current decays geometrically towards zero;
-            // in the subnormal range every multiply by it takes an x86
-            // microcode assist, several times the whole step. Flush it.
-            state.il = if y[2].abs() < f64::MIN_POSITIVE {
-                0.0
-            } else {
-                y[2]
-            };
-            self.end_region = region;
-        } else {
-            self.model.step(state, pieces.dt);
-            self.end_region = pieces.region([state.v1, state.v2, state.il]);
-        }
-        self.end = [state.v1, state.v2, state.il];
+        self.table[region]
     }
 
-    /// Builds region `region`'s propagator on its first visit.
+    /// Builds region `region`'s propagator.
     #[cold]
     #[inline(never)]
     fn fill(&mut self, pieces: Pieces, region: usize) {
@@ -832,6 +867,25 @@ mod tests {
         }
     }
 
+    /// Runs `steps` steps of `dt` from `start` as one span, handing each
+    /// end state and its step number (from 1) to `visit`; returns the last
+    /// state. The span must visit every step it takes.
+    fn span_of(
+        stepper: &mut CycleStepper,
+        start: OscillatorState,
+        dt: f64,
+        steps: usize,
+        mut visit: impl FnMut(usize, &OscillatorState),
+    ) -> OscillatorState {
+        let (mut x, mut t, mut k) = (start, 0.0, 0);
+        stepper.span(&mut x, &mut t, f64::INFINITY, dt, steps, |s| {
+            k += 1;
+            visit(k, s);
+        });
+        assert_eq!(k, steps, "visited steps");
+        x
+    }
+
     /// Oracle (a): with the driver off and no leak or rails, Fig 1 is a
     /// series RLC (C1 and C2 in series with L and Rs), whose ring-down is
     /// closed form. The stepper must follow it over 1000 periods to within
@@ -879,17 +933,14 @@ mod tests {
             let e = [x.v1 - want[0], x.v2 - want[1], (x.il - want[2]) * z0];
             e.iter().fold(0.0f64, |m, v| m.max(v.abs())) / vd0
         };
-        let wf = model.run(start, steps as f64 * dt, dt, 1);
-        assert_eq!(wf.len(), steps + 1);
         let mut stepper_err = 0.0f64;
-        for k in 0..wf.len() {
-            let x = OscillatorState {
-                v1: wf.v1[k],
-                v2: wf.v2[k],
-                il: wf.il[k],
-            };
-            stepper_err = stepper_err.max(error(&x, k as f64 * dt));
-        }
+        span_of(
+            &mut CycleStepper::new(model.clone()),
+            start,
+            dt,
+            steps,
+            |k, x| stepper_err = stepper_err.max(error(x, k as f64 * dt)),
+        );
         let mut rk4 = start;
         let mut rk4_err = 0.0f64;
         for k in 1..=steps {
@@ -923,8 +974,7 @@ mod tests {
         let dt = dt_for(&tank);
         let mut model = OscillatorModel::new(tank, test_driver(1e-3), 1.65).with_rails(3.3);
         model.set_driver_enabled(false);
-        let mut stepper = CycleStepper::new(model);
-        let mut state = OscillatorState {
+        let state = OscillatorState {
             v1: 2.05,
             v2: 1.25,
             il: 0.0,
@@ -933,13 +983,12 @@ mod tests {
         let start = common_mode(&state);
         let mut drift = 0.0f64;
         let mut subnormal_steps = 0;
-        for _ in 0..200_000 {
-            stepper.step(&mut state, dt);
-            drift = drift.max((common_mode(&state) - start).abs());
-            subnormal_steps += usize::from(state.il != 0.0 && !state.il.is_normal());
-        }
+        let end = span_of(&mut CycleStepper::new(model), state, dt, 200_000, |_, x| {
+            drift = drift.max((common_mode(x) - start).abs());
+            subnormal_steps += usize::from(x.il != 0.0 && !x.il.is_normal());
+        });
         assert!(drift < 1e-11, "common-mode drift {drift:e} V");
-        assert_eq!(subnormal_steps, 0, "coil current settled at {:e}", state.il);
+        assert_eq!(subnormal_steps, 0, "coil current settled at {:e}", end.il);
     }
 
     /// Oracle (b): from a state well inside each reachable region, one
@@ -985,15 +1034,14 @@ mod tests {
             model.set_pin_leak(1, 3e-3);
             let start = OscillatorState { v1, v2, il: 0.5e-3 };
             let mut stepper = CycleStepper::new(model.clone());
-            let mut exact = start;
-            stepper.step(&mut exact, dt);
+            let exact = span_of(&mut stepper, start, dt, 1, |_, _| {});
             let Path::Exact(pieces) = stepper.path else {
                 panic!("LinearSaturate must take the exact path");
             };
-            let region = pieces.region([v1, v2, start.il]);
+            let region = pieces.region(&start);
             let label = format!("driver {enabled}, LC1 {n1}, LC2 {n2}");
             assert_eq!(
-                pieces.region([exact.v1, exact.v2, exact.il]),
+                pieces.region(&exact),
                 region,
                 "{label}: the step left its region"
             );
@@ -1024,14 +1072,13 @@ mod tests {
             let model =
                 OscillatorModel::new(tank, GmDriver::new(shape, 2e-3), 1.65).with_rails(3.3);
             let mut stepper = CycleStepper::new(model.clone());
-            let mut a = OscillatorState::at_rest(1.65);
-            let mut b = a;
-            for _ in 0..1000 {
-                stepper.step(&mut a, dt);
+            let start = OscillatorState::at_rest(1.65);
+            let mut b = start;
+            span_of(&mut stepper, start, dt, 1000, |k, a| {
                 model.step(&mut b, dt);
-            }
+                assert_eq!(*a, b, "{shape:?}: step {k}");
+            });
             assert_eq!(stepper.path, Path::Rk4);
-            assert_eq!(a, b, "{shape:?}");
         }
     }
 
@@ -1040,26 +1087,39 @@ mod tests {
         let tank = test_tank();
         let dt = dt_for(&tank);
         let mut stepper = CycleStepper::new(OscillatorModel::new(tank, test_driver(1e-3), 1.65));
-        // 50 periods: the swing has grown into the clipped regions.
-        let mut state = OscillatorState::at_rest(1.65);
-        for _ in 0..4000 {
-            stepper.step(&mut state, dt);
-        }
+        // About 50 periods: the swing has grown into the clipped regions,
+        // and this step ends where the stages clip at 1 mA but not at 2 mA.
+        let state = span_of(
+            &mut stepper,
+            OscillatorState::at_rest(1.65),
+            dt,
+            4032,
+            |_, _| {},
+        );
+        let Path::Exact(before) = stepper.path else {
+            panic!("LinearSaturate must take the exact path");
+        };
         // A leak changes every region's `A`, a new limit the clipped `b`.
         stepper.model_mut().set_i_max(2e-3);
         stepper.model_mut().set_pin_leak(0, 1e-3);
         let mut fresh = CycleStepper::new(stepper.model().clone());
-        let mut again = state;
-        for _ in 0..500 {
-            stepper.step(&mut state, dt);
-            fresh.step(&mut again, dt);
-        }
-        assert_eq!(state, again);
+        let again = span_of(&mut fresh, state, dt, 500, |_, _| {});
+        let Path::Exact(after) = fresh.path else {
+            panic!("LinearSaturate must take the exact path");
+        };
+        // The new limit also moves the state to another region, so a span
+        // that kept the last span's region would show here.
+        assert_ne!(before.region(&state), after.region(&state));
+        assert_eq!(span_of(&mut stepper, state, dt, 500, |_, _| {}), again);
         // A new step size alone re-prepares the table.
-        let mut halved = again;
-        let mut reference = again;
-        fresh.step(&mut halved, dt / 2.0);
-        CycleStepper::new(fresh.model().clone()).step(&mut reference, dt / 2.0);
+        let halved = span_of(&mut fresh, again, dt / 2.0, 1, |_, _| {});
+        let reference = span_of(
+            &mut CycleStepper::new(fresh.model().clone()),
+            again,
+            dt / 2.0,
+            1,
+            |_, _| {},
+        );
         assert_eq!(halved, reference);
     }
 

@@ -522,6 +522,14 @@ impl ClosedLoopSim {
         window
     }
 
+    /// Whether [`ClosedLoopSim::advance_startup`] can still act at
+    /// `t_next`. Once it cannot, it never can again: the NVM code stays
+    /// applied, and the sequencer forces no code from the start of
+    /// regulation on.
+    fn startup_pending(&self, t_next: f64) -> bool {
+        !self.nvm_applied && self.startup.forced_code(t_next).is_some()
+    }
+
     /// Applies startup-forced codes when crossing the NVM-load instant.
     fn advance_startup(&mut self, t_next: f64) {
         if !self.nvm_applied {
@@ -660,12 +668,12 @@ impl ClosedLoopSim {
         outcome
     }
 
-    /// The cycle-fidelity hot loop: steps the oscillator ODE (through the
-    /// sim's [`CycleStepper`]) and the detector on the ODE grid up to
-    /// `t_end`. Returns the last window classification (the entry class if
-    /// no step runs) and whether any step left the entry class. With
-    /// `record`, every `record_stride`-th `v1 − v2` sample is appended to
-    /// the waveform.
+    /// The cycle-fidelity hot loop: steps the oscillator ODE and the
+    /// detector on the ODE grid up to `t_end`, in spans of the sim's
+    /// [`CycleStepper`]. Returns the last window classification (the entry
+    /// class if no step runs) and whether any step left the entry class.
+    /// With `record`, every `record_stride`-th `v1 − v2` sample is appended
+    /// to the waveform.
     fn cycle_steps(&mut self, t_end: f64, record: bool) -> (WindowState, bool) {
         let dt = self.cfg.dt();
         if record {
@@ -679,21 +687,52 @@ impl ClosedLoopSim {
                 .reserve(steps / self.record_stride + 1);
         }
         let entry_class = self.detector.state();
-        let mut window = entry_class;
         let mut changed = false;
         let mut k = 0usize;
-        while self.t < t_end {
+        // Until the NVM load the startup sequencer may change the model
+        // before a step, so each step there is a span of its own: no span
+        // runs across a model change.
+        while self.t < t_end && self.startup_pending(self.t + dt) {
             self.advance_startup(self.t + dt);
-            self.cycle.step(&mut self.state, dt);
-            window = self.detector.update(self.state.v1, self.state.v2);
-            self.t += dt;
-            changed |= window != entry_class;
-            if record && k.is_multiple_of(self.record_stride) {
-                self.trace.waveform_vdiff.push(self.state.v_diff());
-            }
-            k += 1;
+            changed |= self.cycle_span(t_end, 1, record, entry_class, &mut k);
         }
-        (window, changed)
+        changed |= self.cycle_span(t_end, usize::MAX, record, entry_class, &mut k);
+        // The detector classifies its output the same way after a step as
+        // at rest, so this is the last step's window.
+        (self.detector.state(), changed)
+    }
+
+    /// One [`CycleStepper::span`] of at most `steps` steps up to `t_end`,
+    /// stepping the detector and the waveform record with it; `k` counts
+    /// the steps of the whole hot loop for the record stride. Returns
+    /// whether any step left `entry_class`.
+    #[inline(always)]
+    fn cycle_span(
+        &mut self,
+        t_end: f64,
+        steps: usize,
+        record: bool,
+        entry_class: WindowState,
+        k: &mut usize,
+    ) -> bool {
+        let dt = self.cfg.dt();
+        let stride = self.record_stride;
+        let waveform = &mut self.trace.waveform_vdiff;
+        // A local copy lets the filters stay in registers across the span.
+        let mut detector = self.detector.clone();
+        let mut changed = false;
+        let mut n = *k;
+        self.cycle
+            .span(&mut self.state, &mut self.t, t_end, dt, steps, |x| {
+                changed |= detector.update(x.v1, x.v2) != entry_class;
+                if record && n.is_multiple_of(stride) {
+                    waveform.push(x.v_diff());
+                }
+                n += 1;
+            });
+        self.detector = detector;
+        *k = n;
+        changed
     }
 
     /// Envelope→cycle hand-off: seeds the oscillator at the peak of the
@@ -1030,6 +1069,58 @@ mod tests {
         cfg.tick_period = 0.2e-3;
         cfg.detector_tau = 15e-6;
         cfg
+    }
+
+    /// Where a cycle span starts and ends changes no bit: each setup runs
+    /// one interval from power-on as one `cycle_steps` call and again cut
+    /// at 60 seeded times, one of them before the NVM load. The setups
+    /// start with both pins beyond the rails, so `LinearSaturate` crosses
+    /// regions (clipped stages, rail clamps, a pin leak) as it swings back.
+    #[test]
+    fn span_boundaries_are_invisible() {
+        use crate::gm_driver::DriverShape;
+        let sim = |shape| {
+            let mut cfg = cycle_cfg();
+            cfg.driver_shape = shape;
+            ClosedLoopSim::new_unchecked(cfg).unwrap()
+        };
+        let linear = DriverShape::LinearSaturate { gm: 10e-3 };
+        let mut leaky = sim(linear);
+        leaky.inject_pin_leak(0, 2e-3);
+        let mut dead = sim(linear);
+        dead.inject_driver_failure();
+        let setups = [
+            ("clipped, clamped, leaky", leaky),
+            ("driver disabled", dead),
+            ("tanh", sim(DriverShape::Tanh { gm: 10e-3 })),
+            ("hard limit", sim(DriverShape::HardLimit)),
+        ];
+        let mut rng = StdRng::seed_from_u64(23);
+        for (name, mut whole) in setups {
+            whole.state = OscillatorState {
+                v1: 3.6,
+                v2: -0.3,
+                il: 0.0,
+            };
+            let t_end = 2400.0 * whole.cfg.dt();
+            let mut cuts: Vec<f64> = (0..59).map(|_| t_end * rng.gen::<f64>()).collect();
+            cuts.push(0.5 * whole.cfg.nvm_delay);
+            cuts.sort_by(f64::total_cmp);
+            let mut cut = whole.clone();
+            let (window, changed) = whole.cycle_steps(t_end, false);
+            let mut pieces = (cut.detector.state(), false);
+            for t in cuts.into_iter().chain([t_end]) {
+                let (w, c) = cut.cycle_steps(t, false);
+                pieces = (w, pieces.1 | c);
+            }
+            assert!(whole.nvm_applied && cut.nvm_applied, "{name}");
+            let bits = |sim: &ClosedLoopSim| {
+                let x = sim.state;
+                [x.v1, x.v2, x.il, sim.vdc1(), sim.t].map(f64::to_bits)
+            };
+            assert_eq!(bits(&whole), bits(&cut), "{name}: state, vdc1, t");
+            assert_eq!((window, changed), pieces, "{name}: window, changed");
+        }
     }
 
     #[test]

@@ -1,22 +1,43 @@
 //! Rendering a [`Netlist`] back to `.sp` text.
 //!
-//! The renderer is the inverse of [`crate::parse_spice`] up to naming:
-//! nodes render by index (`0` for ground, `n3` for node 3) and elements
-//! by kind letter plus element index, so `render → parse → render` is a
-//! fixed point whenever the original netlist wires nodes in
-//! first-reference order. Values render with `{:e}` — Rust's shortest
-//! round-trip exponent form — so numeric fidelity is bit-exact.
+//! The renderer is the inverse of [`crate::parse_spice`]. Ground renders
+//! as `0`. Every other node renders by its own name when each such name
+//! reads back as itself: the names are distinct, each is a lowercase ASCII
+//! letter followed by lowercase letters, digits and `_`, and none is `gnd`
+//! (which the parser reads as ground). Otherwise every node renders by
+//! index (`n3` for node 3). Elements render by kind letter plus element
+//! index, so `render → parse → render` is a fixed point whenever the
+//! original netlist wires nodes in first-reference order. Values render
+//! with `{:e}` — Rust's shortest round-trip exponent form — so numeric
+//! fidelity is bit-exact.
 
 use lcosc_circuit::{Element, Netlist, NodeId, TransientOptions, Waveform};
 use lcosc_device::mos::Polarity;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
-fn node(n: NodeId) -> String {
-    if n.is_ground() {
-        "0".to_string()
-    } else {
-        format!("n{}", n.index())
-    }
+/// Each node's text, indexed by node: the netlist's own names when every
+/// non-ground name reads back as itself, `n<index>` otherwise.
+fn node_labels(nl: &Netlist) -> Vec<String> {
+    let readable = |name: &str| {
+        let mut chars = name.chars();
+        chars.next().is_some_and(|c| c.is_ascii_lowercase())
+            && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+            && name != "gnd"
+    };
+    let mut seen = HashSet::new();
+    let named = nl
+        .nodes()
+        .skip(1)
+        .map(|n| nl.node_name(n))
+        .all(|name| readable(name) && seen.insert(name));
+    nl.nodes()
+        .map(|n| match n.index() {
+            0 => "0".to_string(),
+            _ if named => nl.node_name(n).to_string(),
+            i => format!("n{i}"),
+        })
+        .collect()
 }
 
 fn waveform(wave: &Waveform) -> String {
@@ -73,6 +94,8 @@ fn waveform(wave: &Waveform) -> String {
 /// Non-default diode and MOS models are emitted as numbered `.model`
 /// cards ahead of the element cards that reference them.
 pub fn render_netlist(nl: &Netlist, title: &str, tran: Option<&TransientOptions>) -> String {
+    let labels = node_labels(nl);
+    let node = |n: NodeId| labels[n.index()].as_str();
     let mut out = String::new();
     let _ = writeln!(out, ".title {title}");
     // Model cards first, one per element that needs a non-builtin model.
@@ -202,4 +225,50 @@ pub fn render_netlist(nl: &Netlist, title: &str, tran: Option<&TransientOptions>
     }
     out.push_str(".end\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_spice;
+
+    /// A chain with nodes named `names`, wired in first-reference order.
+    fn chain(names: &[&str]) -> Netlist {
+        let mut nl = Netlist::new();
+        let nodes: Vec<NodeId> = names.iter().map(|name| nl.node(name)).collect();
+        nl.voltage_source(nodes[0], Netlist::GROUND, Waveform::Dc(1.0));
+        for pair in nodes.windows(2) {
+            nl.resistor(pair[0], pair[1], 1e3);
+        }
+        nl.capacitor(nodes[nodes.len() - 1], Netlist::GROUND, 1e-9);
+        nl
+    }
+
+    #[test]
+    fn named_nodes_render_by_name_and_round_trip() {
+        let nl = chain(&["drv", "lc1", "tap_2"]);
+        let sp = render_netlist(&nl, "named", None);
+        for line in ["v0 drv 0 dc 1e0", "r1 drv lc1 1e3", "r2 lc1 tap_2 1e3"] {
+            assert!(sp.lines().any(|l| l == line), "{line:?} missing:\n{sp}");
+        }
+        let deck = parse_spice(&sp).unwrap();
+        assert_eq!(deck.netlist.elements(), nl.elements());
+        let names = |nl: &Netlist| -> Vec<String> {
+            nl.nodes()
+                .skip(1)
+                .map(|n| nl.node_name(n).to_string())
+                .collect()
+        };
+        assert_eq!(names(&deck.netlist), names(&nl));
+        assert_eq!(render_netlist(&deck.netlist, "named", None), sp);
+    }
+
+    #[test]
+    fn unreadable_names_fall_back_to_indices() {
+        for names in [["lc1", "lc1"], ["lc1", "Lc2"], ["gnd", "lc2"]] {
+            let sp = render_netlist(&chain(&names), "fallback", None);
+            assert!(sp.lines().any(|l| l == "r1 n1 n2 1e3"), "{names:?}:\n{sp}");
+            assert!(!sp.contains("lc"), "{names:?}:\n{sp}");
+        }
+    }
 }
