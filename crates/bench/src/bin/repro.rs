@@ -46,12 +46,14 @@ use lcosc_bench::cli::{parse_args, Args, Cli, HELP};
 use lcosc_bench::csv::write_csv;
 use lcosc_bench::{ablation, figures, spice_smoke};
 use lcosc_campaign::{CampaignStats, Json};
-use lcosc_core::{analyze_emissions, ClosedLoopSim, GmDriver, OscillatorConfig};
+use lcosc_core::{analyze_emissions, ClosedLoopSim, Fidelity, GmDriver, OscillatorConfig};
 use lcosc_dac::{multiplication_factor, relative_step, Code, DacMismatchParams};
 use lcosc_pad::corners::qualify;
 use lcosc_pad::topology::PadTopology;
 use lcosc_safety::scenario::check_scenario;
-use lcosc_safety::{run_scenario_with_trace, Fault, FmeaReport, SafeStateController};
+use lcosc_safety::{
+    run_scenario_mission, Fault, FmeaReport, SafeStateController, SCENARIO_POST_FAULT_TICKS,
+};
 use lcosc_trace::{
     render_jsonl, FanoutSink, MemorySink, MetricsSink, Trace, TraceEvent, TraceLevel,
 };
@@ -140,7 +142,13 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// by construction, so the emitted events are deterministic.
 fn traced_demo(tracer: &Trace) -> Result<(), Box<dyn std::error::Error>> {
     let base = OscillatorConfig::fast_test();
-    let outcome = run_scenario_with_trace(Fault::DriverDead, &base, tracer)?;
+    let outcome = run_scenario_mission(
+        Fault::DriverDead,
+        &base,
+        tracer,
+        Fidelity::MultiRate,
+        SCENARIO_POST_FAULT_TICKS,
+    )?;
     let mut sim = ClosedLoopSim::new(base)?.with_trace(tracer.clone());
     sim.run_until_settled()?;
     SafeStateController::new().react_traced(&outcome.triggered, &mut sim, tracer);

@@ -164,8 +164,13 @@ pub fn consumption_vs_q(threads: usize) -> Vec<(f64, f64, u8)> {
 /// wall-clock/job-count statistics, and emits campaign-level trace events
 /// (job index, seed, wall-clock) into `tracer` in catalog order.
 pub fn fmea_matrix(threads: usize, tracer: &lcosc_trace::Trace) -> lcosc_safety::FmeaRun {
-    FmeaReport::run_with_threads_traced(&OscillatorConfig::datasheet_3mhz(), threads, tracer)
-        .expect("config is valid")
+    FmeaReport::run_campaign(
+        &OscillatorConfig::datasheet_3mhz(),
+        Fidelity::MultiRate,
+        threads,
+        tracer,
+    )
+    .expect("config is valid")
 }
 
 /// §8 — dual-system supply-loss outcomes for all three pad topologies,

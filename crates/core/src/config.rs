@@ -2,7 +2,6 @@
 
 use crate::condition::OscillationCondition;
 use crate::gm_driver::DriverShape;
-use crate::multirate::MultiRateOptions;
 use crate::tank::LcTank;
 use crate::{CoreError, Result};
 use lcosc_dac::{Code, MismatchedDac};
@@ -11,7 +10,8 @@ use lcosc_num::units::{Farads, Henries, Volts};
 /// Simulation fidelity of the closed loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
-    /// Cycle-accurate 3-state ODE; needed for waveform figures.
+    /// Cycle-accurate 3-state ODE: the reference the other two are
+    /// checked against.
     Cycle,
     /// Averaged envelope dynamics; ~1000× faster, used for sweeps and FMEA
     /// matrices.
@@ -56,8 +56,6 @@ pub struct OscillatorConfig {
     pub steps_per_period: usize,
     /// Envelope mode: integrator substeps per tick.
     pub envelope_substeps: usize,
-    /// Multi-rate mode: hand-off guard window and re-entry tolerance.
-    pub multirate: MultiRateOptions,
     /// RMS measurement noise on the detector output `VDC1`, volts
     /// (comparator offset drift, coupled interference). 0 = noiseless.
     pub detector_noise_rms: f64,
@@ -86,7 +84,6 @@ impl OscillatorConfig {
             fidelity: Fidelity::Envelope,
             steps_per_period: 60,
             envelope_substeps: 256,
-            multirate: MultiRateOptions::default(),
             detector_noise_rms: 0.0,
             noise_seed: 1,
         };
@@ -244,9 +241,6 @@ impl OscillatorConfig {
                 "envelope substeps must be non-zero",
             ));
         }
-        if let Err(msg) = self.multirate.validate() {
-            return Err(CoreError::InvalidConfig(msg));
-        }
         if !(self.detector_noise_rms >= 0.0 && self.detector_noise_rms.is_finite()) {
             return Err(CoreError::InvalidConfig(
                 "detector noise must be finite and non-negative",
@@ -309,16 +303,6 @@ mod tests {
     fn validation_catches_slow_detector() {
         let mut cfg = OscillatorConfig::fast_test();
         cfg.detector_tau = cfg.tick_period; // detector slower than the loop
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validation_catches_bad_multirate_options() {
-        let mut cfg = OscillatorConfig::fast_test();
-        cfg.multirate.guard_ticks = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = OscillatorConfig::fast_test();
-        cfg.multirate.handoff_rel_tol = -0.1;
         assert!(cfg.validate().is_err());
     }
 

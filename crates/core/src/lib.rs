@@ -13,8 +13,8 @@
 //!   amplitude dynamics for millisecond-scale sweeps,
 //! - [`detector::AmplitudeDetector`] — full-wave rectifier, low-pass filter
 //!   and window comparator (Fig 8),
-//! - [`multirate::MultiRateController`] — the envelope↔cycle fidelity
-//!   hand-off state machine for long-horizon multi-rate runs,
+//! - [`multirate`] — the envelope↔cycle fidelity hand-off state machine
+//!   for long-horizon multi-rate runs,
 //! - [`regulator::RegulationFsm`] — the 1 ms ±1/hold digital loop (§4),
 //! - [`startup::StartupSequencer`] — POR preset (code 105) and NVM hand-over,
 //! - [`sim::ClosedLoopSim`] — everything wired together.
@@ -55,12 +55,10 @@ pub use emc::{analyze_emissions, EmissionReport};
 pub use envelope::EnvelopeModel;
 pub use gm_driver::{DriverShape, GmDriver};
 pub use measure::{amplitude_pp, frequency_of, settling_tick};
-pub use multirate::{
-    code_step_needs_guard, ModeStats, MultiRateController, MultiRateOptions, RateMode,
-};
+pub use multirate::ModeStats;
 pub use oscillator::{OscillatorModel, OscillatorState, OscillatorWaveform};
 pub use regulator::RegulationFsm;
-pub use sim::{CheckLevel, ClosedLoopSim, SettleReport, SimEvent, SimTrace};
+pub use sim::{CheckLevel, ClosedLoopSim, SettleReport, SimTrace};
 pub use startup::StartupSequencer;
 pub use tank::LcTank;
 

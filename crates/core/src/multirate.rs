@@ -18,59 +18,24 @@
 
 use lcosc_dac::Code;
 
-/// Tuning knobs of the multi-rate hand-off.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiRateOptions {
-    /// Regulation ticks of cycle fidelity to hold after each guard event
-    /// before envelope re-entry is considered.
-    pub guard_ticks: u32,
-    /// Maximum relative disagreement between the envelope shadow and the
-    /// cycle-measured amplitude at which envelope re-entry is allowed.
-    pub handoff_rel_tol: f64,
-    /// While the code is actively ramping, a tick that starts with the
-    /// detector output within this fraction of the window center of a
-    /// threshold runs in cycle fidelity: the envelope model's small
-    /// amplitude error must not decide which side of the threshold a
-    /// ramp crosses on. Quiet holds are exempt — a settled operating
-    /// point parks close to the lower threshold by design, and guarding
-    /// it would forfeit the multi-rate speedup. `0` disables the check.
-    pub boundary_margin: f64,
-}
+/// Maximum relative disagreement between the envelope shadow and the
+/// cycle-measured amplitude at which envelope re-entry is allowed.
+pub(crate) const HANDOFF_REL_TOL: f64 = 0.05;
 
-impl Default for MultiRateOptions {
-    fn default() -> Self {
-        MultiRateOptions {
-            guard_ticks: 1,
-            handoff_rel_tol: 0.05,
-            boundary_margin: 0.04,
-        }
-    }
-}
-
-impl MultiRateOptions {
-    /// Validates the options; returns the first violated constraint.
-    ///
-    /// # Errors
-    ///
-    /// Returns a static description of the violated constraint.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.guard_ticks == 0 {
-            return Err("multi-rate guard window must be at least one tick");
-        }
-        if !(self.handoff_rel_tol > 0.0 && self.handoff_rel_tol < 1.0) {
-            return Err("multi-rate hand-off tolerance must be in (0, 1)");
-        }
-        if !(self.boundary_margin >= 0.0 && self.boundary_margin < 0.5) {
-            return Err("multi-rate boundary margin must be in [0, 0.5)");
-        }
-        Ok(())
-    }
-}
+/// While the code is actively ramping, a tick that starts with the
+/// detector output within this fraction of the window center of a
+/// threshold runs in cycle fidelity: the envelope model's small amplitude
+/// error must not decide which side of the threshold a ramp crosses on.
+/// Quiet holds are exempt — a settled operating point parks close to the
+/// lower threshold by design, and guarding it would forfeit the
+/// multi-rate speedup.
+pub(crate) const BOUNDARY_MARGIN: f64 = 0.04;
 
 /// Which fidelity the multi-rate engine is currently running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateMode {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum RateMode {
     /// Averaged envelope dynamics (the fast default between events).
+    #[default]
     Envelope,
     /// Cycle-accurate dynamics (guard windows around events).
     Cycle,
@@ -94,7 +59,7 @@ pub struct ModeStats {
 /// cross a DAC segment edge (prescaler/Gm-weight reconfiguration — the
 /// output staircase is locally non-uniform there) and steps that land on
 /// a range stop (saturation is a latched safety condition).
-pub fn code_step_needs_guard(old: Code, new: Code) -> bool {
+pub(crate) fn code_step_needs_guard(old: Code, new: Code) -> bool {
     old.segment_index() != new.segment_index()
         || new.value() == 0
         || new.value() == Code::MAX.value()
@@ -106,61 +71,49 @@ pub fn code_step_needs_guard(old: Code, new: Code) -> bool {
 /// [`crate::sim::ClosedLoopSim`]; the simulation reports events via
 /// [`MultiRateController::arm`] / [`MultiRateController::on_code_step`]
 /// and closes every regulation tick with
-/// [`MultiRateController::finish_tick`], which decides re-entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiRateController {
-    opts: MultiRateOptions,
+/// [`MultiRateController::finish_tick`], which decides re-entry. The
+/// guard window is the tick an event arms: that tick is never quiet, so
+/// re-entry is first considered at the close of the tick after it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct MultiRateController {
     mode: RateMode,
-    guard_left: u32,
     armed_this_tick: bool,
     stats: ModeStats,
 }
 
 impl MultiRateController {
-    /// Creates a controller starting in envelope fidelity.
-    pub fn new(opts: MultiRateOptions) -> Self {
-        MultiRateController {
-            opts,
-            mode: RateMode::Envelope,
-            guard_left: 0,
-            armed_this_tick: false,
-            stats: ModeStats::default(),
-        }
-    }
-
     /// The current fidelity.
-    pub fn mode(&self) -> RateMode {
+    pub(crate) fn mode(&self) -> RateMode {
         self.mode
     }
 
     /// Accumulated per-mode statistics.
-    pub fn stats(&self) -> ModeStats {
+    pub(crate) fn stats(&self) -> ModeStats {
         self.stats
     }
 
     /// Reports a guard event (fault injection, detector window-state
     /// change, forced code): switches to cycle fidelity — the hand-off
-    /// itself is performed by the simulation — and (re)starts the guard
-    /// window.
-    pub fn arm(&mut self) {
+    /// itself is performed by the simulation — and marks the tick as not
+    /// quiet.
+    pub(crate) fn arm(&mut self) {
         self.armed_this_tick = true;
         if self.mode == RateMode::Envelope {
             self.mode = RateMode::Cycle;
             self.stats.mode_switches += 1;
         }
-        self.guard_left = self.guard_left.max(self.opts.guard_ticks);
     }
 
     /// Reports a regulation code step; arms the guard when the step needs
     /// one (see [`code_step_needs_guard`]).
-    pub fn on_code_step(&mut self, old: Code, new: Code) {
+    pub(crate) fn on_code_step(&mut self, old: Code, new: Code) {
         if old != new && code_step_needs_guard(old, new) {
             self.arm();
         }
     }
 
     /// Records one mid-tick event localization.
-    pub fn note_bisection(&mut self) {
+    pub(crate) fn note_bisection(&mut self) {
         self.stats.bisections += 1;
     }
 
@@ -169,9 +122,8 @@ impl MultiRateController {
     /// Returns `true` when the controller re-entered envelope fidelity —
     /// the simulation must then perform the cycle→envelope hand-off
     /// (adopt the measured amplitude, retime the detector).
-    pub fn finish_tick(&mut self, agree: bool) -> bool {
-        let quiet = !self.armed_this_tick;
-        self.armed_this_tick = false;
+    pub(crate) fn finish_tick(&mut self, agree: bool) -> bool {
+        let quiet = !std::mem::take(&mut self.armed_this_tick);
         match self.mode {
             RateMode::Envelope => {
                 self.stats.envelope_ticks += 1;
@@ -179,8 +131,7 @@ impl MultiRateController {
             }
             RateMode::Cycle => {
                 self.stats.cycle_ticks += 1;
-                self.guard_left = self.guard_left.saturating_sub(1);
-                if self.guard_left == 0 && quiet && agree {
+                if quiet && agree {
                     self.mode = RateMode::Envelope;
                     self.stats.mode_switches += 1;
                     true
@@ -198,32 +149,6 @@ mod tests {
 
     fn code(v: u32) -> Code {
         Code::new(v).unwrap()
-    }
-
-    #[test]
-    fn default_options_validate() {
-        MultiRateOptions::default().validate().unwrap();
-    }
-
-    #[test]
-    fn degenerate_options_are_rejected() {
-        let o = MultiRateOptions {
-            guard_ticks: 0,
-            ..Default::default()
-        };
-        assert!(o.validate().is_err());
-        let mut o = MultiRateOptions {
-            handoff_rel_tol: 0.0,
-            ..Default::default()
-        };
-        assert!(o.validate().is_err());
-        o.handoff_rel_tol = 1.5;
-        assert!(o.validate().is_err());
-        let o = MultiRateOptions {
-            boundary_margin: 0.5,
-            ..Default::default()
-        };
-        assert!(o.validate().is_err());
     }
 
     #[test]
@@ -245,18 +170,14 @@ mod tests {
 
     #[test]
     fn guard_holds_cycle_mode_for_its_window() {
-        let mut c = MultiRateController::new(MultiRateOptions {
-            guard_ticks: 2,
-            handoff_rel_tol: 0.05,
-            ..MultiRateOptions::default()
-        });
+        let mut c = MultiRateController::default();
         assert_eq!(c.mode(), RateMode::Envelope);
         c.arm();
         assert_eq!(c.mode(), RateMode::Cycle);
-        // Tick 1 of the guard: stays in cycle even with agreement.
+        // The arming tick: stays in cycle even with agreement.
         assert!(!c.finish_tick(true));
         assert_eq!(c.mode(), RateMode::Cycle);
-        // Tick 2: guard exhausted, quiet and agreeing → re-entry.
+        // The next tick: quiet and agreeing → re-entry.
         assert!(c.finish_tick(true));
         assert_eq!(c.mode(), RateMode::Envelope);
         assert_eq!(c.stats().mode_switches, 2);
@@ -265,11 +186,7 @@ mod tests {
 
     #[test]
     fn disagreement_blocks_reentry_until_it_clears() {
-        let mut c = MultiRateController::new(MultiRateOptions {
-            guard_ticks: 1,
-            handoff_rel_tol: 0.05,
-            ..MultiRateOptions::default()
-        });
+        let mut c = MultiRateController::default();
         c.arm();
         assert!(!c.finish_tick(false));
         assert_eq!(c.mode(), RateMode::Cycle);
@@ -280,15 +197,11 @@ mod tests {
 
     #[test]
     fn event_during_guard_rearms_the_window() {
-        let mut c = MultiRateController::new(MultiRateOptions {
-            guard_ticks: 2,
-            handoff_rel_tol: 0.05,
-            ..MultiRateOptions::default()
-        });
+        let mut c = MultiRateController::default();
         c.arm();
         assert!(!c.finish_tick(true));
-        // A new event mid-guard: the tick is not quiet and the window
-        // restarts at its full width — one more cycle tick than an
+        // A new event in the tick after the arming one: that tick is not
+        // quiet either, so re-entry takes one more cycle tick than an
         // undisturbed guard would have taken.
         c.arm();
         assert!(!c.finish_tick(true));
@@ -298,7 +211,7 @@ mod tests {
 
     #[test]
     fn interior_code_steps_keep_envelope_mode() {
-        let mut c = MultiRateController::new(MultiRateOptions::default());
+        let mut c = MultiRateController::default();
         c.on_code_step(code(40), code(41));
         assert_eq!(c.mode(), RateMode::Envelope);
         c.on_code_step(code(63), code(64));

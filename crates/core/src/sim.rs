@@ -6,7 +6,9 @@ use crate::config::{Fidelity, OscillatorConfig};
 use crate::detector::{AmplitudeDetector, RECTIFIER_GAIN};
 use crate::envelope::EnvelopeModel;
 use crate::gm_driver::GmDriver;
-use crate::multirate::{ModeStats, MultiRateController, RateMode};
+use crate::multirate::{
+    ModeStats, MultiRateController, RateMode, BOUNDARY_MARGIN, HANDOFF_REL_TOL,
+};
 use crate::oscillator::{CycleStepper, OscillatorModel, OscillatorState};
 use crate::regulator::{RegulationAction, RegulationFsm};
 use crate::startup::StartupSequencer;
@@ -51,38 +53,6 @@ pub enum CheckLevel {
     Prove,
 }
 
-/// Events logged by the simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimEvent {
-    /// NVM code applied (end of the POR-preset phase).
-    NvmLoaded {
-        /// Event time, seconds.
-        t: f64,
-        /// Loaded code.
-        code: Code,
-    },
-    /// The regulation loop changed the code.
-    CodeChanged {
-        /// Event time, seconds.
-        t: f64,
-        /// Previous code.
-        from: Code,
-        /// New code.
-        to: Code,
-    },
-    /// The loop hit the top code while still below the window (possible
-    /// component failure; feeds the low-amplitude safety detector).
-    SaturatedHigh {
-        /// Event time, seconds.
-        t: f64,
-    },
-    /// A fault was injected by the caller.
-    FaultInjected {
-        /// Event time, seconds.
-        t: f64,
-    },
-}
-
 /// Recorded per-tick history of a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimTrace {
@@ -94,16 +64,6 @@ pub struct SimTrace {
     pub vdc1: Vec<f64>,
     /// Per-pin peak amplitude estimate at each tick.
     pub amplitudes: Vec<f64>,
-    /// Logged events.
-    pub events: Vec<SimEvent>,
-    /// Cycle mode only: time step between decimated waveform samples.
-    /// Kept in lock-step with the ODE step (a function of the tank) and
-    /// the record stride — refreshed by [`ClosedLoopSim::inject_tank`], so
-    /// samples recorded after a mid-run tank swap carry the correct
-    /// timestamps.
-    pub waveform_dt: f64,
-    /// Cycle mode only: decimated `v1 − v2` samples.
-    pub waveform_vdiff: Vec<f64>,
 }
 
 /// Result of [`ClosedLoopSim::run_until_settled`].
@@ -137,8 +97,9 @@ pub struct ClosedLoopSim {
     nvm_applied: bool,
     driver_dead: bool,
     trace: SimTrace,
-    /// Cycle mode: record every n-th ODE sample into the waveform.
-    record_stride: usize,
+    /// End time of the latest tick that ended below the window with the
+    /// code at the top stop.
+    pinned_high_at: Option<f64>,
     noise_rng: StdRng,
     tracer: Trace,
     regulating_logged: bool,
@@ -229,16 +190,15 @@ impl ClosedLoopSim {
             nvm_applied: false,
             driver_dead: false,
             trace: SimTrace::default(),
-            record_stride: (cfg.steps_per_period / 8).max(1),
+            pinned_high_at: None,
             noise_rng: StdRng::seed_from_u64(cfg.noise_seed),
             tracer: Trace::off(),
             regulating_logged: false,
-            rate: MultiRateController::new(cfg.multirate),
+            rate: MultiRateController::default(),
             live: RateMode::Envelope,
             code_stepped_last_tick: false,
             cfg,
         };
-        sim.refresh_waveform_dt();
         sim.apply_code(Code::POR_PRESET);
         Ok(sim)
     }
@@ -262,13 +222,6 @@ impl ClosedLoopSim {
     pub fn with_trace(mut self, tracer: Trace) -> Self {
         self.set_trace(tracer);
         self
-    }
-
-    /// Keeps the waveform decimation metadata in lock-step with the ODE
-    /// step and the record stride. The ODE step is a function of the tank
-    /// (`f0`), so a mid-run tank swap changes it too.
-    fn refresh_waveform_dt(&mut self) {
-        self.trace.waveform_dt = self.cfg.dt() * self.record_stride as f64;
     }
 
     /// The configuration.
@@ -325,6 +278,13 @@ impl ClosedLoopSim {
         &self.trace
     }
 
+    /// End time of the latest tick that ended below the window with the
+    /// code at the top stop (127), or `None` if no tick has. Unlike the
+    /// FSM's saturation latch, the tick that steps 126 → 127 counts.
+    pub fn pinned_high_at(&self) -> Option<f64> {
+        self.pinned_high_at
+    }
+
     /// Replaces the tank mid-run (component drift / fault injection).
     /// Any previously injected pin leaks are reset.
     pub fn inject_tank(&mut self, tank: LcTank) {
@@ -333,13 +293,6 @@ impl ClosedLoopSim {
             OscillatorModel::new(tank, driver, self.cfg.vref).with_rails(self.cfg.vdd);
         self.envelope = EnvelopeModel::new(tank, driver).with_clamp(self.cfg.rail_clamp());
         self.cfg.tank = tank;
-        // The ODE step follows the tank's resonance frequency; the
-        // decimation metadata must follow or cycle-mode waveform
-        // timestamps recorded after the swap are wrong.
-        self.refresh_waveform_dt();
-        self.trace
-            .events
-            .push(SimEvent::FaultInjected { t: self.t });
         self.emit_fault_injected();
     }
 
@@ -366,9 +319,6 @@ impl ClosedLoopSim {
         self.driver_dead = true;
         self.cycle.model_mut().set_driver_enabled(false);
         self.envelope.set_i_max(0.0);
-        self.trace
-            .events
-            .push(SimEvent::FaultInjected { t: self.t });
         self.emit_fault_injected();
     }
 
@@ -378,8 +328,8 @@ impl ClosedLoopSim {
         self.arm_guard();
     }
 
-    /// Adds a leak conductance at a pin (0 = LC1, 1 = LC2); cycle mode only
-    /// affects the waveform, envelope mode folds it into extra loss.
+    /// Adds a leak conductance at a pin (0 = LC1, 1 = LC2); cycle mode
+    /// loads that pin's node, envelope mode folds it into extra loss.
     ///
     /// A leak approaching `ω₀·C` overdamps the pin node entirely — the
     /// resonant mode disappears and no driver transconductance can sustain
@@ -401,9 +351,6 @@ impl ClosedLoopSim {
         let faulted = tank.with_rs(lcosc_num::units::Ohms(tank.rs().value() * scale));
         let driver = *self.cycle.model().driver();
         self.envelope = EnvelopeModel::new(faulted, driver).with_clamp(self.cfg.rail_clamp());
-        self.trace
-            .events
-            .push(SimEvent::FaultInjected { t: self.t });
         self.emit_fault_injected();
     }
 
@@ -443,7 +390,7 @@ impl ClosedLoopSim {
                 }
             }
             Fidelity::Cycle => {
-                window = self.cycle_steps(tick_end, true).0;
+                window = self.cycle_steps(tick_end).0;
             }
             Fidelity::MultiRate => {
                 window = self.multirate_dynamics(tick_end);
@@ -482,24 +429,14 @@ impl ClosedLoopSim {
             window: window_class(window),
         });
         if after != before {
-            self.trace.events.push(SimEvent::CodeChanged {
-                t: self.t,
-                from: before,
-                to: after,
-            });
             self.apply_code(after);
             if self.cfg.fidelity == Fidelity::MultiRate {
                 self.rate.on_code_step(before, after);
             }
         }
         self.code_stepped_last_tick = after != before;
-        // The SimEvent stream keeps its historical cadence (one event per
-        // tick actively pinned at the top stop); the latched FSM flag is
-        // what the safety path samples.
         if window == WindowState::Below && after == Code::MAX {
-            self.trace
-                .events
-                .push(SimEvent::SaturatedHigh { t: self.t });
+            self.pinned_high_at = Some(self.t);
         }
         if self.fsm.saturated_high() && !sat_before.1 {
             self.tracer
@@ -539,10 +476,6 @@ impl ClosedLoopSim {
                     self.apply_code(forced);
                     if forced == self.startup.nvm_code() {
                         self.nvm_applied = true;
-                        self.trace.events.push(SimEvent::NvmLoaded {
-                            t: t_next,
-                            code: forced,
-                        });
                         let tick = self.fsm.ticks();
                         self.tracer.emit(|| TraceEvent::StartupPhase {
                             tick,
@@ -619,13 +552,9 @@ impl ClosedLoopSim {
     /// Whether the detector output starts this tick within the boundary
     /// margin of either comparator threshold.
     fn near_threshold(&self) -> bool {
-        let margin = self.cfg.multirate.boundary_margin;
-        if margin <= 0.0 {
-            return false;
-        }
         let vdc1 = self.detector.vdc1();
         let w = self.detector.window();
-        let band = margin * 0.5 * (w.low() + w.high());
+        let band = BOUNDARY_MARGIN * 0.5 * (w.low() + w.high());
         (vdc1 - w.low()).abs() <= band || (vdc1 - w.high()).abs() <= band
     }
 
@@ -663,7 +592,7 @@ impl ClosedLoopSim {
         if span <= 0.0 {
             return (self.detector.state(), false);
         }
-        let outcome = self.cycle_steps(t_end, false);
+        let outcome = self.cycle_steps(t_end);
         self.amp = self.envelope.step(self.amp, span);
         outcome
     }
@@ -672,66 +601,37 @@ impl ClosedLoopSim {
     /// detector on the ODE grid up to `t_end`, in spans of the sim's
     /// [`CycleStepper`]. Returns the last window classification (the entry
     /// class if no step runs) and whether any step left the entry class.
-    /// With `record`, every `record_stride`-th `v1 − v2` sample is appended
-    /// to the waveform.
-    fn cycle_steps(&mut self, t_end: f64, record: bool) -> (WindowState, bool) {
+    fn cycle_steps(&mut self, t_end: f64) -> (WindowState, bool) {
         let dt = self.cfg.dt();
-        if record {
-            // Reserve the recorded samples up front so the push below never
-            // reallocates mid-loop (the transient stepping machinery is
-            // allocation-free after warm-up; keep the waveform recording
-            // that way too).
-            let steps = ((t_end - self.t) / dt).ceil().max(0.0) as usize;
-            self.trace
-                .waveform_vdiff
-                .reserve(steps / self.record_stride + 1);
-        }
         let entry_class = self.detector.state();
         let mut changed = false;
-        let mut k = 0usize;
         // Until the NVM load the startup sequencer may change the model
         // before a step, so each step there is a span of its own: no span
         // runs across a model change.
         while self.t < t_end && self.startup_pending(self.t + dt) {
             self.advance_startup(self.t + dt);
-            changed |= self.cycle_span(t_end, 1, record, entry_class, &mut k);
+            changed |= self.cycle_span(t_end, 1, entry_class);
         }
-        changed |= self.cycle_span(t_end, usize::MAX, record, entry_class, &mut k);
+        changed |= self.cycle_span(t_end, usize::MAX, entry_class);
         // The detector classifies its output the same way after a step as
         // at rest, so this is the last step's window.
         (self.detector.state(), changed)
     }
 
     /// One [`CycleStepper::span`] of at most `steps` steps up to `t_end`,
-    /// stepping the detector and the waveform record with it; `k` counts
-    /// the steps of the whole hot loop for the record stride. Returns
-    /// whether any step left `entry_class`.
+    /// stepping the detector with it. Returns whether any step left
+    /// `entry_class`.
     #[inline(always)]
-    fn cycle_span(
-        &mut self,
-        t_end: f64,
-        steps: usize,
-        record: bool,
-        entry_class: WindowState,
-        k: &mut usize,
-    ) -> bool {
+    fn cycle_span(&mut self, t_end: f64, steps: usize, entry_class: WindowState) -> bool {
         let dt = self.cfg.dt();
-        let stride = self.record_stride;
-        let waveform = &mut self.trace.waveform_vdiff;
         // A local copy lets the filters stay in registers across the span.
         let mut detector = self.detector.clone();
         let mut changed = false;
-        let mut n = *k;
         self.cycle
             .span(&mut self.state, &mut self.t, t_end, dt, steps, |x| {
                 changed |= detector.update(x.v1, x.v2) != entry_class;
-                if record && n.is_multiple_of(stride) {
-                    waveform.push(x.v_diff());
-                }
-                n += 1;
             });
         self.detector = detector;
-        *k = n;
         changed
     }
 
@@ -770,7 +670,7 @@ impl ClosedLoopSim {
         let agree = if self.rate.mode() == RateMode::Cycle {
             let meas = (self.detector.vdc1() / RECTIFIER_GAIN).max(0.0);
             let floor = 0.02 * self.cfg.target_peak();
-            (self.amp - meas).abs() <= self.cfg.multirate.handoff_rel_tol * meas.max(floor)
+            (self.amp - meas).abs() <= HANDOFF_REL_TOL * meas.max(floor)
         } else {
             true
         };
@@ -860,21 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn startup_sequence_events_in_order() {
-        let cfg = OscillatorConfig::fast_test();
-        let mut sim = ClosedLoopSim::new(cfg).unwrap();
-        sim.run_ticks(3);
-        let events = &sim.trace().events;
-        let nvm = events.iter().find_map(|e| match e {
-            SimEvent::NvmLoaded { t, code } => Some((*t, *code)),
-            _ => None,
-        });
-        let (t_nvm, code_nvm) = nvm.expect("nvm event logged");
-        assert!(t_nvm <= 10e-6, "nvm at {t_nvm}");
-        assert_eq!(code_nvm, sim.config().nvm_code);
-    }
-
-    #[test]
     fn steady_state_hunting_is_bounded_by_one_code() {
         let cfg = OscillatorConfig::fast_test();
         let mut sim = ClosedLoopSim::new(cfg).unwrap();
@@ -899,11 +784,23 @@ mod tests {
         );
         // The loop keeps asking for more current until it saturates high.
         assert_eq!(sim.code(), Code::MAX);
-        assert!(sim
-            .trace()
-            .events
-            .iter()
-            .any(|e| matches!(e, SimEvent::SaturatedHigh { .. })));
+        assert_eq!(sim.pinned_high_at(), Some(sim.time()));
+    }
+
+    #[test]
+    fn pinned_high_counts_the_tick_that_steps_onto_the_top_code() {
+        // The scenario's `code_saturated` rule: a tick that ends below the
+        // window at 127 counts even when it is the 126 → 127 step, which
+        // the FSM's saturation latch does not see.
+        let mut sim = ClosedLoopSim::new(OscillatorConfig::fast_test()).unwrap();
+        sim.run_ticks(1);
+        sim.inject_driver_failure();
+        sim.force_code(Code::new(126).unwrap());
+        assert_eq!(sim.pinned_high_at(), None);
+        assert_eq!(sim.tick(), WindowState::Below);
+        assert_eq!(sim.code(), Code::MAX);
+        assert_eq!(sim.pinned_high_at(), Some(sim.time()));
+        assert!(!sim.fsm.saturated_high());
     }
 
     #[test]
@@ -930,7 +827,6 @@ mod tests {
         sim.run_ticks(12);
         let d = (sim.code().value() as i32 - expected.value() as i32).abs();
         assert!(d <= 3, "cycle mode at {} vs {}", sim.code(), expected);
-        assert!(!sim.trace().waveform_vdiff.is_empty());
     }
 
     #[test]
@@ -1107,10 +1003,10 @@ mod tests {
             cuts.push(0.5 * whole.cfg.nvm_delay);
             cuts.sort_by(f64::total_cmp);
             let mut cut = whole.clone();
-            let (window, changed) = whole.cycle_steps(t_end, false);
+            let (window, changed) = whole.cycle_steps(t_end);
             let mut pieces = (cut.detector.state(), false);
             for t in cuts.into_iter().chain([t_end]) {
-                let (w, c) = cut.cycle_steps(t, false);
+                let (w, c) = cut.cycle_steps(t);
                 pieces = (w, pieces.1 | c);
             }
             assert!(whole.nvm_applied && cut.nvm_applied, "{name}");
@@ -1121,30 +1017,6 @@ mod tests {
             assert_eq!(bits(&whole), bits(&cut), "{name}: state, vdc1, t");
             assert_eq!((window, changed), pieces, "{name}: window, changed");
         }
-    }
-
-    #[test]
-    fn waveform_dt_follows_tank_swap() {
-        // Regression: waveform_dt used to be computed once at construction;
-        // a mid-run tank swap changes the ODE step (dt tracks f0) and left
-        // the decimation metadata stale.
-        let mut sim = ClosedLoopSim::new(cycle_cfg()).unwrap();
-        let stride = sim.record_stride as f64;
-        assert!((sim.trace().waveform_dt / (sim.config().dt() * stride) - 1.0).abs() < 1e-12);
-        // 4x the inductance halves f0 and doubles dt.
-        let tank = LcTank::with_q(
-            lcosc_num::units::Henries::from_micro(100.0),
-            lcosc_num::units::Farads::from_nano(2.0),
-            10.0,
-        )
-        .unwrap();
-        sim.inject_tank(tank);
-        assert!(
-            (sim.trace().waveform_dt / (sim.config().dt() * stride) - 1.0).abs() < 1e-12,
-            "stale waveform_dt {} vs dt*stride {}",
-            sim.trace().waveform_dt,
-            sim.config().dt() * stride
-        );
     }
 
     fn multirate_cfg() -> OscillatorConfig {
@@ -1218,16 +1090,23 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::CodeStep { .. }))
             .collect();
         assert_eq!(steps.len(), 10, "one CodeStep per tick, holds included");
-        let phases: Vec<PhaseId> = events
+        let phases: Vec<(PhaseId, u64, u8)> = events
             .iter()
-            .filter_map(|e| match e {
-                TraceEvent::StartupPhase { phase, .. } => Some(*phase),
+            .filter_map(|e| match *e {
+                TraceEvent::StartupPhase { tick, phase, code } => Some((phase, tick, code)),
                 _ => None,
             })
             .collect();
+        // The NVM code loads inside the first tick, before any regulation
+        // decision, and regulation starts from it.
+        let nvm = sim.config().nvm_code.value();
         assert_eq!(
             phases,
-            vec![PhaseId::PorPreset, PhaseId::NvmLoaded, PhaseId::Regulating]
+            vec![
+                (PhaseId::PorPreset, 0, Code::POR_PRESET.value()),
+                (PhaseId::NvmLoaded, 0, nvm),
+                (PhaseId::Regulating, 1, nvm),
+            ]
         );
         // The stream mirrors the recorded per-tick code history.
         let final_code = events

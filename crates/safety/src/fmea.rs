@@ -7,6 +7,7 @@ use crate::scenario::{run_scenario_mission, ScenarioResult, SCENARIO_POST_FAULT_
 use lcosc_campaign::{Campaign, CampaignStats, Json};
 use lcosc_core::config::{Fidelity, OscillatorConfig};
 use lcosc_core::Result;
+use lcosc_trace::Trace;
 
 /// One row of the FMEA matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,74 +38,46 @@ pub struct FmeaRun {
 
 impl FmeaReport {
     /// Runs every cataloged fault against the base configuration, serially
-    /// (equivalent to [`FmeaReport::run_with_threads`] with 1 thread).
+    /// and at the multi-rate scenario fidelity.
     ///
     /// # Errors
     ///
     /// Propagates simulation setup errors.
     pub fn run(base: &OscillatorConfig) -> Result<Self> {
-        Self::run_with_threads(base, 1).map(|run| run.report)
+        Self::run_campaign(base, Fidelity::MultiRate, 1, &Trace::off()).map(|run| run.report)
     }
 
-    /// [`FmeaReport::run`] with the analysis fidelity pinned explicitly
-    /// instead of the multi-rate scenario default. The paper's sign-off
-    /// table is a describing-function result — [`Fidelity::Envelope`]
-    /// reproduces it — while [`Fidelity::Cycle`] / [`Fidelity::MultiRate`]
-    /// report cycle-truth verdicts, which differ on some operating points
-    /// (see `DESIGN.md` §14).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation setup errors.
-    pub fn run_at(base: &OscillatorConfig, fidelity: Fidelity) -> Result<Self> {
-        Self::run_campaign(base, 1, &lcosc_trace::Trace::off(), fidelity).map(|run| run.report)
-    }
-
-    /// Runs the full fault catalog as a parallel campaign on `threads`
+    /// Runs the full fault catalog as a campaign, one independent job per
+    /// fault scenario, at an explicit analysis `fidelity` on `threads`
     /// worker threads (`1` = serial in-line execution, `0` = all cores).
     ///
-    /// Each fault scenario is one independent job; the assembled matrix is
-    /// bit-identical for every thread count because the campaign engine
-    /// collects results in catalog order.
+    /// [`FmeaReport::run`] uses [`Fidelity::MultiRate`]. The paper's
+    /// sign-off table is a describing-function result —
+    /// [`Fidelity::Envelope`] reproduces it — while [`Fidelity::Cycle`] /
+    /// [`Fidelity::MultiRate`] report cycle-truth verdicts, which differ on
+    /// some operating points (see `DESIGN.md` §14).
+    ///
+    /// The assembled matrix is bit-identical for every thread count because
+    /// the campaign engine collects results in catalog order. The engine
+    /// emits one `CampaignJob` (golden) and one `CampaignJobTiming`
+    /// (machine-dependent) event per fault scenario into `tracer`, always
+    /// in catalog order from the coordinator thread. The per-tick
+    /// simulation streams of the worker scenarios are *not* attached:
+    /// workers run concurrently, and their interleaved events would break
+    /// the golden stream's thread-count invariance. Use
+    /// [`crate::scenario::run_scenario_mission`] serially for full
+    /// per-scenario detail.
     ///
     /// # Errors
     ///
-    /// Propagates the simulation setup error of the lowest-indexed failing
-    /// scenario.
-    pub fn run_with_threads(base: &OscillatorConfig, threads: usize) -> Result<FmeaRun> {
-        Self::run_with_threads_traced(base, threads, &lcosc_trace::Trace::off())
-    }
-
-    /// [`FmeaReport::run_with_threads`] with campaign-level observability:
-    /// the engine emits one `CampaignJob` (golden) and one
-    /// `CampaignJobTiming` (machine-dependent) event per fault scenario,
-    /// always in catalog order from the coordinator thread.
-    ///
-    /// The per-tick simulation streams of the worker scenarios are *not*
-    /// attached to `tracer` here: workers run concurrently, and their
-    /// interleaved events would break the golden stream's thread-count
-    /// invariance. Use [`crate::scenario::run_scenario_with_trace`]
-    /// serially for full per-scenario detail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the simulation setup error of the lowest-indexed failing
-    /// scenario.
-    pub fn run_with_threads_traced(
+    /// Returns [`lcosc_core::CoreError::CheckFailed`] when the static pass
+    /// rejects the configuration, and propagates the simulation setup error
+    /// of the lowest-indexed failing scenario.
+    pub fn run_campaign(
         base: &OscillatorConfig,
-        threads: usize,
-        tracer: &lcosc_trace::Trace,
-    ) -> Result<FmeaRun> {
-        Self::run_campaign(base, threads, tracer, Fidelity::MultiRate)
-    }
-
-    /// The campaign body shared by every entry point: `fidelity` selects
-    /// the analysis level each fault scenario runs at.
-    fn run_campaign(
-        base: &OscillatorConfig,
-        threads: usize,
-        tracer: &lcosc_trace::Trace,
         fidelity: Fidelity,
+        threads: usize,
+        tracer: &Trace,
     ) -> Result<FmeaRun> {
         // One precheck for the whole matrix: every fault scenario shares
         // `base`, so this is equivalent to the per-scenario check the
@@ -120,7 +93,7 @@ impl FmeaReport {
                 run_scenario_mission(
                     fault,
                     base,
-                    &lcosc_trace::Trace::off(),
+                    &Trace::off(),
                     fidelity,
                     SCENARIO_POST_FAULT_TICKS,
                 )
@@ -305,7 +278,8 @@ mod tests {
         let base = OscillatorConfig::fast_test();
         let serial = FmeaReport::run(&base).unwrap();
         for threads in [2, 8] {
-            let par = FmeaReport::run_with_threads(&base, threads).unwrap();
+            let par = FmeaReport::run_campaign(&base, Fidelity::MultiRate, threads, &Trace::off())
+                .unwrap();
             assert_eq!(par.report, serial, "threads = {threads}");
             assert_eq!(par.stats.jobs, Fault::catalog().len());
             // JSON payloads must be byte-identical, not just structurally

@@ -8,7 +8,7 @@ use crate::detectors::{
 use crate::fault::Fault;
 use lcosc_core::config::{Fidelity, OscillatorConfig};
 use lcosc_core::detector::RECTIFIER_GAIN;
-use lcosc_core::sim::{ClosedLoopSim, SimEvent};
+use lcosc_core::sim::ClosedLoopSim;
 use lcosc_core::{CoreError, Result};
 use lcosc_trace::{DetectorId, Trace, TraceEvent};
 
@@ -94,7 +94,13 @@ pub fn run_scenario(fault: Fault, base: &OscillatorConfig) -> Result<ScenarioRes
     if report.has_errors() {
         return Err(lcosc_core::CoreError::CheckFailed(report));
     }
-    run_scenario_with_trace(fault, base, &Trace::off())
+    run_scenario_mission(
+        fault,
+        base,
+        &Trace::off(),
+        Fidelity::MultiRate,
+        SCENARIO_POST_FAULT_TICKS,
+    )
 }
 
 /// Regulation ticks a scenario observes after the fault injection (the
@@ -102,39 +108,16 @@ pub fn run_scenario(fault: Fault, base: &OscillatorConfig) -> Result<ScenarioRes
 /// tens of ticks).
 pub const SCENARIO_POST_FAULT_TICKS: usize = 150;
 
-/// [`run_scenario`] without the static verification pass (for FMEA studies
-/// that intentionally inject out-of-spec parameters; basic configuration
-/// validation still applies) and with full observability: the simulation's
-/// regulation loop emits its per-tick event stream into `tracer`, and each
-/// detector that fires adds a [`TraceEvent::DetectorTrip`] whose
-/// `latency_ticks` counts regulation ticks from the fault injection to the
-/// evaluation. All emitted events are deterministic (golden stream).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the simulation setup.
-pub fn run_scenario_with_trace(
-    fault: Fault,
-    base: &OscillatorConfig,
-    tracer: &Trace,
-) -> Result<ScenarioResult> {
-    // Multi-rate by default: envelope fidelity between events, cycle
-    // fidelity inside guard windows around fault injection, detector
-    // threshold crossings and segment-boundary code steps.
-    run_scenario_mission(
-        fault,
-        base,
-        tracer,
-        Fidelity::MultiRate,
-        SCENARIO_POST_FAULT_TICKS,
-    )
-}
-
-/// The fully explicit scenario runner: `fidelity` selects the simulation
-/// engine and `post_fault_ticks` sets the observation horizon after the
-/// injection — the multi-rate benchmark stretches it into a long mission
-/// profile and runs the same fault once per fidelity to compare wall-clock
-/// at pinned discrete outcomes.
+/// The fully explicit scenario runner: [`run_scenario`] without the static
+/// verification pass (for FMEA studies that intentionally inject
+/// out-of-spec parameters; basic configuration validation still applies).
+/// `fidelity` selects the simulation engine and `post_fault_ticks` sets the
+/// observation horizon after the injection ([`SCENARIO_POST_FAULT_TICKS`]
+/// for the FMEA). The simulation's regulation loop emits its per-tick event
+/// stream into `tracer`, and each detector that fires adds a
+/// [`TraceEvent::DetectorTrip`] whose `latency_ticks` counts regulation
+/// ticks from the fault injection to the evaluation. All emitted events are
+/// deterministic (golden stream).
 ///
 /// # Errors
 ///
@@ -186,11 +169,8 @@ pub fn run_scenario_mission(
     let mut clock = MissingClockDetector::chip_default();
     let clock_tripped = clock.update(vpp / 2.0, elapsed);
 
-    let code_saturated = sim
-        .trace()
-        .events
-        .iter()
-        .any(|e| matches!(e, SimEvent::SaturatedHigh { t } if *t >= t_fault));
+    // The last settling tick ends at `t_fault`, so it counts too.
+    let code_saturated = sim.pinned_high_at().is_some_and(|t| t >= t_fault);
     let low = LowAmplitudeDetector::chip_default(cfg.target_vpp).evaluate(vpp, code_saturated);
 
     // Per-pin amplitudes from the capacitor ratio (charge balance through
@@ -243,6 +223,17 @@ mod tests {
 
     fn base() -> OscillatorConfig {
         OscillatorConfig::fast_test()
+    }
+
+    fn traced(fault: Fault, tracer: &Trace) -> ScenarioResult {
+        run_scenario_mission(
+            fault,
+            &base(),
+            tracer,
+            Fidelity::MultiRate,
+            SCENARIO_POST_FAULT_TICKS,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -345,8 +336,7 @@ mod tests {
         use lcosc_trace::MemorySink;
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
-        let r =
-            run_scenario_with_trace(Fault::DriverDead, &base(), &Trace::new(sink.clone())).unwrap();
+        let r = traced(Fault::DriverDead, &Trace::new(sink.clone()));
         assert!(r.detected);
         let evs = sink.snapshot();
         let fault_tick = evs
@@ -383,10 +373,9 @@ mod tests {
         use std::sync::Arc;
         // Observability must not perturb the physics: the traced run's
         // outcome is identical to the plain one.
-        let plain = run_scenario_with_trace(Fault::CoilShort, &base(), &Trace::off()).unwrap();
+        let plain = traced(Fault::CoilShort, &Trace::off());
         let sink = Arc::new(MemorySink::new());
-        let traced = run_scenario_with_trace(Fault::CoilShort, &base(), &Trace::new(sink)).unwrap();
-        assert_eq!(plain, traced);
+        assert_eq!(plain, traced(Fault::CoilShort, &Trace::new(sink)));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 use crate::protocol::{fault_token, CampaignSpec, Request};
 use lcosc_campaign::Json;
 use lcosc_circuit::{netlist_from_json, run_transient, TransientOptions};
+use lcosc_core::Fidelity;
 use lcosc_dac::{yield_analysis_campaign, DacMismatchParams};
-use lcosc_safety::scenario::{detector_id, run_scenario_with_trace};
+use lcosc_safety::scenario::{detector_id, run_scenario_mission, SCENARIO_POST_FAULT_TICKS};
 use lcosc_safety::FmeaReport;
 use lcosc_trace::Trace;
 
@@ -65,8 +66,14 @@ pub fn execute(request: &Request) -> Result<Json, String> {
             // The inner simulation's per-tick stream stays detached from
             // the server trace: workers run concurrently and interleaved
             // tick events would not be attributable to a request.
-            let result = run_scenario_with_trace(*fault, &preset.config(), &Trace::off())
-                .map_err(|e| e.to_string())?;
+            let result = run_scenario_mission(
+                *fault,
+                &preset.config(),
+                &Trace::off(),
+                Fidelity::MultiRate,
+                SCENARIO_POST_FAULT_TICKS,
+            )
+            .map_err(|e| e.to_string())?;
             let detectors: Vec<Json> = result
                 .triggered
                 .iter()
@@ -84,9 +91,8 @@ pub fn execute(request: &Request) -> Result<Json, String> {
             ]))
         }
         Request::Campaign(CampaignSpec::Fmea { preset }) => {
-            let run =
-                FmeaReport::run_with_threads(&preset.config(), 1).map_err(|e| e.to_string())?;
-            Ok(run.report.to_json())
+            let report = FmeaReport::run(&preset.config()).map_err(|e| e.to_string())?;
+            Ok(report.to_json())
         }
         Request::Campaign(CampaignSpec::Yield { dies, seed, window }) => {
             let run =

@@ -293,3 +293,23 @@ fn unallocatable_transient_answers_a_typed_error_and_the_engine_lives_on() {
     assert_eq!(engine.counters().by_status[5], 1, "error count");
     engine.shutdown();
 }
+
+#[test]
+fn oversized_yield_answers_bad_request_at_admission_and_the_engine_lives_on() {
+    // u32::MAX dies would make the campaign collect 17 GB of job indices
+    // before its first die. Admission refuses the line, so no campaign of
+    // that size is ever started.
+    let engine = engine_with(1, 8, Duration::from_secs(30));
+    let huge = engine
+        .submit_line(r#"{"id":1,"kind":"campaign","campaign":"yield","dies":4294967295}"#)
+        .wait();
+    assert!(huge.contains("\"status\":\"bad_request\""), "{huge}");
+    assert!(
+        huge.contains(r#"\"dies\" must be at most 100000"#),
+        "{huge}"
+    );
+    let stats = engine.submit_line(r#"{"id":2,"kind":"stats"}"#).wait();
+    assert!(stats.contains("\"status\":\"ok\""), "{stats}");
+    assert_eq!(engine.counters().by_status[1], 1, "bad_request count");
+    engine.shutdown();
+}

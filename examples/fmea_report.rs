@@ -8,6 +8,7 @@
 use lcosc::core::config::Fidelity;
 use lcosc::core::OscillatorConfig;
 use lcosc::safety::FmeaReport;
+use lcosc::trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = OscillatorConfig::datasheet_3mhz();
@@ -18,10 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Cycle-accurate simulation disagrees on the datasheet tank: a pin
     // leak fools the single-pin amplitude detector and the loop pumps
     // the differential amplitude ~65 % over target, undetected — call
-    // `FmeaReport::run_at(&config, Fidelity::Cycle)` (or
+    // `FmeaReport::run_campaign` at `Fidelity::Cycle` (or
     // `Fidelity::MultiRate`, which reproduces the cycle verdicts; see
     // DESIGN.md §14) to see that finding.
-    let report = FmeaReport::run_at(&config, Fidelity::Envelope)?;
+    let report = FmeaReport::run_campaign(&config, Fidelity::Envelope, 1, &Trace::off())?.report;
     println!("{report}");
 
     if report.unsafe_entries().is_empty() {

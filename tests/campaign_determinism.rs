@@ -5,9 +5,10 @@
 use lcosc::campaign::{job_seed, Campaign};
 use lcosc::circuit::workloads::coupled_tank_network_scaled;
 use lcosc::circuit::{run_transient, Netlist, TransientOptions, TransientResult};
-use lcosc::core::config::OscillatorConfig;
+use lcosc::core::config::{Fidelity, OscillatorConfig};
 use lcosc::dac::{yield_analysis_campaign, DacMismatchParams};
 use lcosc::safety::FmeaReport;
+use lcosc::trace::Trace;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -92,8 +93,11 @@ fn scheduling_order_does_not_leak_into_results() {
 #[test]
 fn fmea_and_yield_json_byte_identical_threads_1_vs_8() {
     let cfg = OscillatorConfig::fast_test();
-    let fmea1 = FmeaReport::run_with_threads(&cfg, 1).expect("valid config");
-    let fmea8 = FmeaReport::run_with_threads(&cfg, 8).expect("valid config");
+    let fmea = |threads| {
+        FmeaReport::run_campaign(&cfg, Fidelity::MultiRate, threads, &Trace::off())
+            .expect("valid config")
+    };
+    let (fmea1, fmea8) = (fmea(1), fmea(8));
     assert_eq!(
         fmea1.report.to_json().render(),
         fmea8.report.to_json().render()
